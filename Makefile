@@ -15,7 +15,7 @@ test:
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/stats/ ./internal/experiments/ ./internal/sim/ ./internal/fault/ ./internal/runtime/ ./cmd/bcastnode/
+	$(GO) test -race ./internal/stats/ ./internal/experiments/ ./internal/grid/ ./internal/sim/ ./internal/fault/ ./internal/runtime/ ./cmd/bcastnode/
 	$(GO) test -tags simdebug ./internal/sim/
 	$(GO) run ./cmd/checkdocs
 

@@ -47,7 +47,9 @@ func benchNetwork(b *testing.B, n int, d float64, seed int64) *geo.Network {
 }
 
 // benchBroadcast runs one protocol repeatedly on the standard workload and
-// reports forward nodes per broadcast.
+// reports forward nodes per broadcast. A lossless config must deliver to
+// every node; a lossy one (LossRate > 0) legitimately misses some, so there
+// every run must instead close the copy-conservation identity.
 func benchBroadcast(b *testing.B, mk func() sim.Protocol, cfg sim.Config, n int, d float64) {
 	b.Helper()
 	net := benchNetwork(b, n, d, 1)
@@ -60,7 +62,12 @@ func benchBroadcast(b *testing.B, mk func() sim.Protocol, cfg sim.Config, n int,
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.FullDelivery() {
+		if cfg.LossRate > 0 {
+			if got := res.Receipts + res.Lost + res.Collided + res.FaultDrops(); got != res.Copies {
+				b.Fatalf("receipts %d + lost %d + collided %d + fault drops %d != copies %d",
+					res.Receipts, res.Lost, res.Collided, res.FaultDrops(), res.Copies)
+			}
+		} else if !res.FullDelivery() {
 			b.Fatalf("delivery %d/%d", res.Delivered, res.N)
 		}
 		totalForward += res.ForwardCount()

@@ -24,20 +24,14 @@ import (
 // alongside the crash-induced degradation.
 const crashAmbientLoss = 0.1
 
-// degradeVariant is one curve of a degradation figure: a protocol plus the
-// recovery setting layered on it.
-type degradeVariant struct {
-	label string
-	make  func() sim.Protocol
-	nack  bool
-}
-
-func degradeVariants() []degradeVariant {
-	return []degradeVariant{
+// degradeVariants are the curves of the degradation figures: protocols with
+// the recovery setting layered on them.
+func degradeVariants() []variant {
+	return []variant{
 		{label: "Flooding", make: protocol.Flooding},
-		{label: "Generic-FR", make: func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }},
-		{label: "Generic-FRB", make: func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }},
-		{label: "Generic-FRB+NACK", make: func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }, nack: true},
+		{label: "Generic-FR", make: generic(protocol.TimingFirstReceipt)},
+		{label: "Generic-FRB", make: generic(protocol.TimingBackoffRandom)},
+		{label: "Generic-FRB+NACK", make: generic(protocol.TimingBackoffRandom), cfg: sim.Config{NACKRecovery: true}},
 	}
 }
 
@@ -83,59 +77,27 @@ func CrashForwardRatio(rc RunConfig) (Figure, error) {
 
 func crashSweep(rc RunConfig, id, title, unit string, metric func(sim.Result) float64) (Figure, error) {
 	rc = rc.withDefaults()
-	fig := Figure{ID: id, Title: title, Unit: unit}
-	for _, d := range rc.Degrees {
-		panel := Panel{Title: fmt.Sprintf("d=%d, n=100, 2-hop", d)}
-		for _, v := range degradeVariants() {
-			s := Series{Label: v.label}
-			for _, frac := range rc.CrashFractions {
-				frac, v := frac, v
-				pct := int(math.Round(100 * frac))
-				point := fmt.Sprintf("%s/%s/crash=%d/d=%d", id, v.label, pct, d)
-				sink, err := rc.newTraceSink(point)
-				if err != nil {
-					return Figure{}, err
-				}
-				sum, err := rc.replicate(point, func(i int) (float64, error) {
-					seed := workloadSeed(rc.Seed, 100, d, i)
-					w, err := workloads.get(workloadKey{seed: seed, n: 100, d: d})
-					if err != nil {
-						return 0, err
-					}
-					plan, err := fault.NewPlan(w.net.G, fault.Params{
+	s := newSweep(rc, id, title, unit)
+	s.extension(degradeVariants(), func(v variant, d int) {
+		for _, frac := range rc.CrashFractions {
+			pct := int(math.Round(100 * frac))
+			s.add(point{label: fmt.Sprintf("%s/%s/crash=%d/d=%d", id, v.label, pct, d), x: pct, n: 100, d: d,
+				sample: func(r *replicate) (float64, error) {
+					plan, err := fault.NewPlan(r.w.net.G, fault.Params{
 						CrashFraction: frac,
-						Protect:       []int{w.source},
-					}, degradeSeed(rc.Seed, 100, d, i, pct*10))
+						Protect:       []int{r.w.source},
+					}, degradeSeed(rc.Seed, 100, d, r.i, pct*10))
 					if err != nil {
 						return 0, err
 					}
-					cfg := sim.Config{
-						Hops:         2,
-						Seed:         seed + 1,
-						LossRate:     crashAmbientLoss,
-						Faults:       plan,
-						NACKRecovery: v.nack,
-					}
-					flush := sink.instrument(&cfg, i)
-					res, err := sim.Run(w.net.G, w.source, v.make(), cfg)
-					if err != nil {
-						return 0, err
-					}
-					if err := flush(); err != nil {
-						return 0, err
-					}
-					return metric(res), nil
-				})
-				if err = sink.finish(err); err != nil {
-					return Figure{}, fmt.Errorf("%s %s crash %d%%: %w", id, v.label, pct, err)
-				}
-				s.Points = append(s.Points, Point{X: pct, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
-			}
-			panel.Series = append(panel.Series, s)
+					cfg := v.cfg
+					cfg.Hops, cfg.LossRate, cfg.Faults = 2, crashAmbientLoss, plan
+					res, err := r.run(r.w.net.G, v.make(), cfg)
+					return metric(res), err
+				}})
 		}
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig, nil
+	})
+	return s.run()
 }
 
 // LossDegradation sweeps the per-receipt loss rate with no faults: X is the
@@ -144,53 +106,18 @@ func crashSweep(rc RunConfig, id, title, unit string, metric func(sim.Result) fl
 // buys back most of what pruning loses to the channel.
 func LossDegradation(rc RunConfig) (Figure, error) {
 	rc = rc.withDefaults()
-	fig := Figure{
-		ID:    "D3",
-		Title: "Degradation: delivery vs loss rate (n=100)",
-		Unit:  "delivery %",
-	}
-	for _, d := range rc.Degrees {
-		panel := Panel{Title: fmt.Sprintf("d=%d, n=100, 2-hop", d)}
-		for _, v := range degradeVariants() {
-			s := Series{Label: v.label}
-			for _, rate := range rc.LossRates {
-				rate, v := rate, v
-				pct := int(math.Round(100 * rate))
-				point := fmt.Sprintf("D3/%s/loss=%d/d=%d", v.label, pct, d)
-				sink, err := rc.newTraceSink(point)
-				if err != nil {
-					return Figure{}, err
-				}
-				sum, err := rc.replicate(point, func(i int) (float64, error) {
-					seed := workloadSeed(rc.Seed, 100, d, i)
-					w, err := workloads.get(workloadKey{seed: seed, n: 100, d: d})
-					if err != nil {
-						return 0, err
-					}
-					cfg := sim.Config{
-						Hops:         2,
-						Seed:         seed + 1,
-						LossRate:     rate,
-						NACKRecovery: v.nack,
-					}
-					flush := sink.instrument(&cfg, i)
-					res, err := sim.Run(w.net.G, w.source, v.make(), cfg)
-					if err != nil {
-						return 0, err
-					}
-					if err := flush(); err != nil {
-						return 0, err
-					}
-					return 100 * res.DeliveryRatio(), nil
-				})
-				if err = sink.finish(err); err != nil {
-					return Figure{}, fmt.Errorf("D3 %s loss %d%%: %w", v.label, pct, err)
-				}
-				s.Points = append(s.Points, Point{X: pct, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
-			}
-			panel.Series = append(panel.Series, s)
+	s := newSweep(rc, "D3", "Degradation: delivery vs loss rate (n=100)", "delivery %")
+	s.extension(degradeVariants(), func(v variant, d int) {
+		for _, rate := range rc.LossRates {
+			pct := int(math.Round(100 * rate))
+			s.add(point{label: fmt.Sprintf("D3/%s/loss=%d/d=%d", v.label, pct, d), x: pct, n: 100, d: d,
+				sample: func(r *replicate) (float64, error) {
+					cfg := v.cfg
+					cfg.Hops, cfg.LossRate = 2, rate
+					res, err := r.run(r.w.net.G, v.make(), cfg)
+					return 100 * res.DeliveryRatio(), err
+				}})
 		}
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig, nil
+	})
+	return s.run()
 }

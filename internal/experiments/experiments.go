@@ -1,17 +1,14 @@
-// Package experiments reproduces the paper's evaluation (Section 7): one
-// driver per figure, each sweeping network size and density, replicating
-// every data point until its confidence interval is tight, and emitting the
-// same series the paper plots. Common random numbers are used across the
-// algorithms of a figure: replication i of every series sees the same
-// network and source.
+// Package experiments reproduces the paper's evaluation (Section 7) and its
+// extensions: every figure declares its panels, series and data points to
+// one sweep driver (sweep.go), which replicates every point until its
+// confidence interval is tight and emits the same series the paper plots.
+// Common random numbers are used across the algorithms of a figure:
+// replication i of every series sees the same network and source.
 package experiments
 
 import (
-	"fmt"
 	"runtime"
-	"sync"
 
-	"adhocbcast/internal/sim"
 	"adhocbcast/internal/stats"
 )
 
@@ -119,27 +116,6 @@ func (c RunConfig) withDefaults() RunConfig {
 	return c
 }
 
-// replicate runs one data point's replication loop through the serial or
-// parallel engine according to ReplicateParallelism. Both paths produce
-// bit-identical summaries (and progress sequences) for the same sample
-// function. point names the data point in progress updates and trace files.
-func (c RunConfig) replicate(point string, sample func(i int) (float64, error)) (stats.Summary, error) {
-	compute := func() (stats.Summary, error) {
-		opts := c.Replicate
-		if c.Progress != nil {
-			opts.Progress = func(u stats.ProgressUpdate) { c.Progress(point, u) }
-		}
-		if c.ReplicateParallelism > 1 {
-			return stats.RunUntilCIParallel(opts, c.ReplicateParallelism, sample)
-		}
-		return stats.RunUntilCI(opts, sample)
-	}
-	if c.Runner != nil {
-		return c.Runner(point, compute)
-	}
-	return compute()
-}
-
 // Paper returns the paper's replication criterion: repeat until the 90%
 // confidence interval is within ±1% of the mean.
 func Paper() stats.ReplicateOptions {
@@ -191,120 +167,8 @@ type Figure struct {
 	Panels []Panel
 }
 
-// variant binds a legend label to a protocol factory and simulator
-// configuration.
-type variant struct {
-	label string
-	cfg   sim.Config
-	make  func() sim.Protocol
-}
-
-// measure averages the forward-node count of one variant at one (n, d)
-// point. Replication i uses the same workload for every variant: the
-// connected network and random source come from the shared workload cache,
-// so a panel's variants generate each workload once between them. prefix
-// disambiguates the data point across figures and panels for progress and
-// trace output.
-func measure(rc RunConfig, prefix string, n, d int, v variant) (stats.Summary, error) {
-	point := fmt.Sprintf("%s/%s/n=%d/d=%d", prefix, v.label, n, d)
-	sink, err := rc.newTraceSink(point)
-	if err != nil {
-		return stats.Summary{}, err
-	}
-	sum, err := rc.replicate(point, func(i int) (float64, error) {
-		seed := workloadSeed(rc.Seed, n, d, i)
-		w, err := workloads.get(workloadKey{seed: seed, n: n, d: d})
-		if err != nil {
-			return 0, err
-		}
-		cfg := v.cfg
-		cfg.Seed = seed + 1
-		flush := sink.instrument(&cfg, i)
-		res, err := sim.Run(w.net.G, w.source, v.make(), cfg)
-		if err != nil {
-			return 0, err
-		}
-		if err := flush(); err != nil {
-			return 0, err
-		}
-		if !res.FullDelivery() {
-			return 0, fmt.Errorf("experiments: %s delivered %d/%d (n=%d d=%d rep=%d)",
-				v.label, res.Delivered, res.N, n, d, i)
-		}
-		return float64(res.ForwardCount()), nil
-	})
-	return sum, sink.finish(err)
-}
-
 // workloadSeed derives a deterministic seed from the experiment inputs.
 // The variant label is deliberately excluded so all series share workloads.
 func workloadSeed(base int64, n, d, rep int) int64 {
 	return deriveSeed("", base, n, d, rep)
-}
-
-// sweep builds one panel from the given variants, measuring the (variant,
-// size) points on a bounded worker pool. Each point is fully determined by
-// its inputs, so the parallel schedule never changes the results. prefix
-// names the figure (or experiment) the panel belongs to, for progress and
-// trace point labels.
-func sweep(rc RunConfig, prefix, title string, d int, variants []variant) (Panel, error) {
-	type job struct {
-		vi, ni int
-	}
-	jobs := make(chan job)
-	points := make([][]Point, len(variants))
-	errs := make([][]error, len(variants))
-	for vi := range variants {
-		points[vi] = make([]Point, len(rc.Sizes))
-		errs[vi] = make([]error, len(rc.Sizes))
-	}
-
-	var wg sync.WaitGroup
-	workers := rc.Parallelism
-	if total := len(variants) * len(rc.Sizes); workers > total {
-		workers = total
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				v, n := variants[j.vi], rc.Sizes[j.ni]
-				sum, err := measure(rc, prefix+"/"+title, n, d, v)
-				if err != nil {
-					// Each job owns its error slot; the pool keeps
-					// draining so it always terminates.
-					errs[j.vi][j.ni] = fmt.Errorf("%s n=%d d=%d: %w", v.label, n, d, err)
-					continue
-				}
-				points[j.vi][j.ni] = Point{
-					X:    n,
-					Mean: sum.Mean,
-					CI:   sum.HalfWidth90,
-					Runs: sum.N,
-				}
-			}
-		}()
-	}
-	for vi := range variants {
-		for ni := range rc.Sizes {
-			jobs <- job{vi: vi, ni: ni}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	panel := Panel{Title: title}
-	for vi, v := range variants {
-		for ni := range rc.Sizes {
-			if err := errs[vi][ni]; err != nil {
-				return Panel{}, err
-			}
-		}
-		panel.Series = append(panel.Series, Series{Label: v.label, Points: points[vi]})
-	}
-	return panel, nil
 }

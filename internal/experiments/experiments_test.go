@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -54,6 +55,20 @@ func TestWorkloadSeedProperties(t *testing.T) {
 	}
 }
 
+// measureVariant measures one variant at one (n, d) cell through the sweep
+// driver, with the forward-count sample of the paper's figures.
+func measureVariant(rc RunConfig, n, d int, v variant) (Point, error) {
+	s := newSweep(rc.withDefaults(), "test", "", "")
+	s.panel("test")
+	s.series(v.label)
+	s.add(point{label: fmt.Sprintf("test/%s/n=%d/d=%d", v.label, n, d), x: n, n: n, d: d, sample: forwardCount(v)})
+	fig, err := s.run()
+	if err != nil {
+		return Point{}, err
+	}
+	return fig.Panels[0].Series[0].Points[0], nil
+}
+
 func TestMeasureCommonRandomNumbers(t *testing.T) {
 	// Two variants with the same protocol must produce identical summaries:
 	// the workloads are shared across variants by construction.
@@ -62,15 +77,15 @@ func TestMeasureCommonRandomNumbers(t *testing.T) {
 	mk := func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }
 	v1 := variant{label: "a", cfg: sim.Config{Hops: 2}, make: mk}
 	v2 := variant{label: "b", cfg: sim.Config{Hops: 2}, make: mk}
-	s1, err := measure(rc, "test", 20, 6, v1)
+	s1, err := measureVariant(rc, 20, 6, v1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := measure(rc, "test", 20, 6, v2)
+	s2, err := measureVariant(rc, 20, 6, v2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.Mean != s2.Mean || s1.N != s2.N {
+	if s1.Mean != s2.Mean || s1.Runs != s2.Runs {
 		t.Fatalf("same protocol, different stats: %+v vs %+v", s1, s2)
 	}
 }

@@ -27,55 +27,27 @@ import (
 // upper bound; more aggressive pruning degrades faster.
 func Mobility(rc RunConfig) (Figure, error) {
 	rc = rc.withDefaults()
-	steps := []int{0, 1, 2, 3, 5, 8}
-	variants := []struct {
-		label string
-		make  func() sim.Protocol
-	}{
+	s := newSweep(rc, "M1", "Delivery ratio under stale views vs node movement", "delivery %")
+	s.extension([]variant{
 		{label: "Flooding", make: protocol.Flooding},
 		{label: "SBA", make: protocol.SBA},
-		{label: "Generic-FRB", make: func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }},
-		{label: "Generic-FR", make: func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }},
-	}
-	fig := Figure{ID: "M1", Title: "Delivery ratio under stale views vs node movement", Unit: "delivery %"}
-	for _, d := range rc.Degrees {
-		panel := Panel{Title: fmt.Sprintf("d=%d, n=100, 2-hop", d)}
-		for _, v := range variants {
-			s := Series{Label: v.label}
-			for _, step := range steps {
-				point := fmt.Sprintf("M1/%s/step=%d/d=%d", v.label, step, d)
-				sum, err := rc.replicate(point, func(i int) (float64, error) {
+		{label: "Generic-FRB", make: generic(protocol.TimingBackoffRandom)},
+		{label: "Generic-FR", make: generic(protocol.TimingFirstReceipt)},
+	}, func(v variant, d int) {
+		for _, step := range []int{0, 1, 2, 3, 5, 8} {
+			s.add(point{label: fmt.Sprintf("M1/%s/step=%d/d=%d", v.label, step, d), x: step, n: 100, d: d,
+				sample: func(r *replicate) (float64, error) {
 					// Perturbation draws live on their own seed-derived
-					// stream (see mobility.Perturbed), so the stale network
-					// and source come from the shared workload cache: every
-					// movement step of every variant perturbs the same
-					// replication-i network.
-					seed := workloadSeed(rc.Seed, 100, d, i)
-					w, err := workloads.get(workloadKey{seed: seed, n: 100, d: d})
-					if err != nil {
-						return 0, err
-					}
-					actual := mobility.Perturbed(w.net, 100, float64(step), mobilitySeed(rc.Seed, d, i, step))
-					res, err := sim.Run(actual.G, w.source, v.make(), sim.Config{
-						Hops:         2,
-						ViewTopology: w.net.G,
-						Seed:         seed + 1,
-					})
-					if err != nil {
-						return 0, err
-					}
-					return 100 * res.DeliveryRatio(), nil
-				})
-				if err != nil {
-					return Figure{}, fmt.Errorf("mobility %s step %d: %w", v.label, step, err)
-				}
-				s.Points = append(s.Points, Point{X: step, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
-			}
-			panel.Series = append(panel.Series, s)
+					// stream (see mobility.Perturbed), so every movement
+					// step of every variant perturbs the same replication-i
+					// network from the shared workload cache.
+					actual := mobility.Perturbed(r.w.net, 100, float64(step), mobilitySeed(rc.Seed, d, r.i, step))
+					res, err := r.run(actual.G, v.make(), sim.Config{Hops: 2, ViewTopology: r.w.net.G})
+					return 100 * res.DeliveryRatio(), err
+				}})
 		}
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig, nil
+	})
+	return s.run()
 }
 
 // Reliability quantifies the broadcast storm discussion: under a collision
@@ -84,48 +56,20 @@ func Mobility(rc RunConfig) (Figure, error) {
 // flooding to begin with. Series report delivery ratio (%) vs jitter window.
 func Reliability(rc RunConfig) (Figure, error) {
 	rc = rc.withDefaults()
-	jitters := []int{0, 1, 2, 4}
-	variants := []struct {
-		label string
-		make  func() sim.Protocol
-	}{
+	s := newSweep(rc, "R1", "Delivery ratio under a collision MAC vs forwarding jitter", "delivery %")
+	s.extension([]variant{
 		{label: "Flooding", make: protocol.Flooding},
-		{label: "Generic-FR", make: func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }},
-	}
-	fig := Figure{ID: "R1", Title: "Delivery ratio under a collision MAC vs forwarding jitter", Unit: "delivery %"}
-	for _, d := range rc.Degrees {
-		panel := Panel{Title: fmt.Sprintf("d=%d, n=100, 2-hop", d)}
-		for _, v := range variants {
-			s := Series{Label: v.label}
-			for _, j := range jitters {
-				point := fmt.Sprintf("R1/%s/jitter=%d/d=%d", v.label, j, d)
-				sum, err := rc.replicate(point, func(i int) (float64, error) {
-					seed := workloadSeed(rc.Seed, 100, d, i) ^ int64(j<<40)
-					w, err := workloads.get(workloadKey{seed: seed, n: 100, d: d})
-					if err != nil {
-						return 0, err
-					}
-					res, err := sim.Run(w.net.G, w.source, v.make(), sim.Config{
-						Hops:       2,
-						Collisions: true,
-						TxJitter:   float64(j),
-						Seed:       seed + 1,
-					})
-					if err != nil {
-						return 0, err
-					}
-					return 100 * res.DeliveryRatio(), nil
-				})
-				if err != nil {
-					return Figure{}, fmt.Errorf("reliability %s jitter %d: %w", v.label, j, err)
-				}
-				s.Points = append(s.Points, Point{X: j, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
-			}
-			panel.Series = append(panel.Series, s)
+		{label: "Generic-FR", make: generic(protocol.TimingFirstReceipt)},
+	}, func(v variant, d int) {
+		for _, j := range []int{0, 1, 2, 4} {
+			s.add(point{label: fmt.Sprintf("R1/%s/jitter=%d/d=%d", v.label, j, d), x: j, n: 100, d: d, salt: int64(j << 40),
+				sample: func(r *replicate) (float64, error) {
+					res, err := r.run(r.w.net.G, v.make(), sim.Config{Hops: 2, Collisions: true, TxJitter: float64(j)})
+					return 100 * res.DeliveryRatio(), err
+				}})
 		}
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig, nil
+	})
+	return s.run()
 }
 
 // PiggybackAblation sweeps the broadcast-state depth h (Section 4.3): the
@@ -134,30 +78,18 @@ func Reliability(rc RunConfig) (Figure, error) {
 // it. X is h; -1 disables piggybacking entirely (snooping only).
 func PiggybackAblation(rc RunConfig) (Figure, error) {
 	rc = rc.withDefaults()
-	fig := Figure{ID: "A1", Title: "Ablation: forward nodes vs piggyback depth h (Generic-FR)"}
-	for _, d := range rc.Degrees {
-		panel := Panel{Title: fmt.Sprintf("d=%d, n=100, 2-hop", d)}
-		s := Series{Label: "Generic-FR"}
+	s := newSweep(rc, "A1", "Ablation: forward nodes vs piggyback depth h (Generic-FR)", "")
+	s.extension([]variant{{label: "Generic-FR"}}, func(_ variant, d int) {
 		for _, h := range []int{-1, 1, 2, 4, 8} {
 			v := variant{
 				label: fmt.Sprintf("h=%d", h),
+				make:  generic(protocol.TimingFirstReceipt),
 				cfg:   sim.Config{Hops: 2, PiggybackDepth: h},
-				make:  func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) },
 			}
-			sum, err := measure(rc, "A1", 100, d, v)
-			if err != nil {
-				return Figure{}, err
-			}
-			x := h
-			if h < 0 {
-				x = 0
-			}
-			s.Points = append(s.Points, Point{X: x, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
+			s.add(point{label: fmt.Sprintf("A1/%s/n=100/d=%d", v.label, d), x: max(h, 0), n: 100, d: d, sample: forwardCount(v)})
 		}
-		panel.Series = append(panel.Series, s)
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig, nil
+	})
+	return s.run()
 }
 
 // BackoffAblation sweeps the FRB/FRBD backoff window (in transmission
@@ -165,29 +97,21 @@ func PiggybackAblation(rc RunConfig) (Figure, error) {
 // only materializes once the window spans several transmission delays.
 func BackoffAblation(rc RunConfig) (Figure, error) {
 	rc = rc.withDefaults()
-	fig := Figure{ID: "A2", Title: "Ablation: forward nodes vs backoff window (n=100)"}
-	for _, d := range rc.Degrees {
-		panel := Panel{Title: fmt.Sprintf("d=%d, n=100, 2-hop", d)}
-		for _, timing := range []protocol.Timing{protocol.TimingBackoffRandom, protocol.TimingBackoffDegree} {
-			timing := timing
-			s := Series{Label: timing.String()}
-			for _, w := range []int{1, 2, 4, 8, 16} {
-				v := variant{
-					label: fmt.Sprintf("w=%d", w),
-					cfg:   sim.Config{Hops: 2, BackoffWindow: float64(w)},
-					make:  func() sim.Protocol { return protocol.Generic(timing) },
-				}
-				sum, err := measure(rc, "A2/"+timing.String(), 100, d, v)
-				if err != nil {
-					return Figure{}, err
-				}
-				s.Points = append(s.Points, Point{X: w, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
+	s := newSweep(rc, "A2", "Ablation: forward nodes vs backoff window (n=100)", "")
+	s.extension([]variant{
+		{label: protocol.TimingBackoffRandom.String(), make: generic(protocol.TimingBackoffRandom)},
+		{label: protocol.TimingBackoffDegree.String(), make: generic(protocol.TimingBackoffDegree)},
+	}, func(timing variant, d int) {
+		for _, w := range []int{1, 2, 4, 8, 16} {
+			v := variant{
+				label: fmt.Sprintf("w=%d", w),
+				make:  timing.make,
+				cfg:   sim.Config{Hops: 2, BackoffWindow: float64(w)},
 			}
-			panel.Series = append(panel.Series, s)
+			s.add(point{label: fmt.Sprintf("A2/%s/%s/n=100/d=%d", timing.label, v.label, d), x: w, n: 100, d: d, sample: forwardCount(v)})
 		}
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig, nil
+	})
+	return s.run()
 }
 
 // VisitedUnionAblation contrasts the generic coverage condition with and
@@ -196,7 +120,6 @@ func BackoffAblation(rc RunConfig) (Figure, error) {
 // network size.
 func VisitedUnionAblation(rc RunConfig) (Figure, error) {
 	rc = rc.withDefaults()
-	withUnion := func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }
 	withoutUnion := func() sim.Protocol {
 		return protocol.New(protocol.Options{
 			Name:      "Generic-NoUnion",
@@ -209,18 +132,14 @@ func VisitedUnionAblation(rc RunConfig) (Figure, error) {
 		})
 	}
 	variants := []variant{
-		{label: "with union", cfg: sim.Config{Hops: 2}, make: withUnion},
-		{label: "without union", cfg: sim.Config{Hops: 2}, make: withoutUnion},
+		{label: "with union", make: generic(protocol.TimingFirstReceipt), cfg: sim.Config{Hops: 2}},
+		{label: "without union", make: withoutUnion, cfg: sim.Config{Hops: 2}},
 	}
-	fig := Figure{ID: "A3", Title: "Ablation: the visited-union assumption (Generic-FR, 2-hop)"}
+	s := newSweep(rc, "A3", "Ablation: the visited-union assumption (Generic-FR, 2-hop)", "")
 	for _, d := range rc.Degrees {
-		panel, err := sweep(rc, "A3", fmt.Sprintf("d=%d", d), d, variants)
-		if err != nil {
-			return Figure{}, err
-		}
-		fig.Panels = append(fig.Panels, panel)
+		s.sizes("A3", fmt.Sprintf("d=%d", d), d, variants)
 	}
-	return fig, nil
+	return s.run()
 }
 
 // Clustering compares backbone sizes in dense networks (the Section 2 /
@@ -230,12 +149,10 @@ func VisitedUnionAblation(rc RunConfig) (Figure, error) {
 // average degree d at n=100.
 func Clustering(rc RunConfig) (Figure, error) {
 	rc = rc.withDefaults()
-	degrees := []int{6, 12, 18, 24, 30}
-	type method struct {
+	methods := []struct {
 		label string
 		size  func(g *graph.Graph) (int, error)
-	}
-	methods := []method{
+	}{
 		{label: "Cluster backbone", size: func(g *graph.Graph) (int, error) {
 			return len(cluster.LowestID(g).Backbone(g)), nil
 		}},
@@ -259,34 +176,19 @@ func Clustering(rc RunConfig) (Figure, error) {
 			return len(set), err
 		}},
 	}
-	fig := Figure{
-		ID:    "C1",
-		Title: "Backbone sizes vs density (n=100)",
-		Unit:  "mean backbone size",
-	}
-	panel := Panel{Title: "n=100"}
+	s := newSweep(rc, "C1", "Backbone sizes vs density (n=100)", "mean backbone size")
+	s.panel("n=100")
 	for _, m := range methods {
-		s := Series{Label: m.label}
-		for _, d := range degrees {
-			point := fmt.Sprintf("C1/%s/d=%d", m.label, d)
-			sum, err := rc.replicate(point, func(i int) (float64, error) {
-				seed := workloadSeed(rc.Seed, 100, d, i)
-				w, err := workloads.get(workloadKey{seed: seed, n: 100, d: d})
-				if err != nil {
-					return 0, err
-				}
-				size, err := m.size(w.net.G)
-				return float64(size), err
-			})
-			if err != nil {
-				return Figure{}, fmt.Errorf("clustering %s d=%d: %w", m.label, d, err)
-			}
-			s.Points = append(s.Points, Point{X: d, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
+		s.series(m.label)
+		for _, d := range []int{6, 12, 18, 24, 30} {
+			s.add(point{label: fmt.Sprintf("C1/%s/d=%d", m.label, d), x: d, n: 100, d: d,
+				sample: func(r *replicate) (float64, error) {
+					size, err := m.size(r.w.net.G)
+					return float64(size), err
+				}})
 		}
-		panel.Series = append(panel.Series, s)
 	}
-	fig.Panels = append(fig.Panels, panel)
-	return fig, nil
+	return s.run()
 }
 
 // Latency quantifies the timing-policy delay discussion of Section 4.1:
@@ -296,64 +198,33 @@ func Clustering(rc RunConfig) (Figure, error) {
 // timing policy; X is the network size.
 func Latency(rc RunConfig) (Figure, error) {
 	rc = rc.withDefaults()
-	fig := Figure{
-		ID:    "L1",
-		Title: "Mean first-delivery latency vs timing policy",
-		Unit:  "mean latency (slots)",
-	}
-	timings := []protocol.Timing{
-		protocol.TimingStatic,
-		protocol.TimingFirstReceipt,
-		protocol.TimingBackoffRandom,
-		protocol.TimingBackoffDegree,
-	}
+	s := newSweep(rc, "L1", "Mean first-delivery latency vs timing policy", "mean latency (slots)")
 	for _, d := range rc.Degrees {
-		panel := Panel{Title: fmt.Sprintf("d=%d, 2-hop", d)}
-		for _, timing := range timings {
-			timing := timing
-			s := Series{Label: timing.String()}
+		s.panel(fmt.Sprintf("d=%d, 2-hop", d))
+		for _, timing := range []protocol.Timing{
+			protocol.TimingStatic,
+			protocol.TimingFirstReceipt,
+			protocol.TimingBackoffRandom,
+			protocol.TimingBackoffDegree,
+		} {
+			s.series(timing.String())
 			for _, n := range rc.Sizes {
-				n := n
-				point := fmt.Sprintf("L1/%s/n=%d/d=%d", timing, n, d)
-				sink, err := rc.newTraceSink(point)
-				if err != nil {
-					return Figure{}, err
-				}
-				sum, err := rc.replicate(point, func(i int) (float64, error) {
-					seed := workloadSeed(rc.Seed, n, d, i)
-					w, err := workloads.get(workloadKey{seed: seed, n: n, d: d})
-					if err != nil {
-						return 0, err
-					}
-					rec := &sim.Recorder{}
-					cfg := sim.Config{
-						Hops:     2,
-						Seed:     seed + 1,
-						Observer: rec,
-					}
-					flush := sink.instrument(&cfg, i)
-					res, err := sim.Run(w.net.G, w.source, protocol.Generic(timing), cfg)
-					if err != nil {
-						return 0, err
-					}
-					if err := flush(); err != nil {
-						return 0, err
-					}
-					if !res.FullDelivery() {
-						return 0, fmt.Errorf("latency: delivered %d/%d", res.Delivered, res.N)
-					}
-					return rec.MeanDeliveryLatency(), nil
-				})
-				if err = sink.finish(err); err != nil {
-					return Figure{}, fmt.Errorf("latency %s n=%d: %w", timing, n, err)
-				}
-				s.Points = append(s.Points, Point{X: n, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
+				s.add(point{label: fmt.Sprintf("L1/%s/n=%d/d=%d", timing, n, d), x: n, n: n, d: d,
+					sample: func(r *replicate) (float64, error) {
+						rec := &sim.Recorder{}
+						res, err := r.run(r.w.net.G, protocol.Generic(timing), sim.Config{Hops: 2, Observer: rec})
+						if err != nil {
+							return 0, err
+						}
+						if !res.FullDelivery() {
+							return 0, fmt.Errorf("latency: delivered %d/%d", res.Delivered, res.N)
+						}
+						return rec.MeanDeliveryLatency(), nil
+					}})
 			}
-			panel.Series = append(panel.Series, s)
 		}
-		fig.Panels = append(fig.Panels, panel)
 	}
-	return fig, nil
+	return s.run()
 }
 
 // ExtensionByID dispatches the extension experiments by name.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"adhocbcast/internal/stats"
@@ -140,5 +141,42 @@ func TestBackoffAblationMonotoneTrend(t *testing.T) {
 		if last > first+1 {
 			t.Fatalf("%s: forward count grew with window: %.2f -> %.2f", s.Label, first, last)
 		}
+	}
+}
+
+// TestExtensionsDeterministicAcrossParallelism pins the sweep driver's
+// contract for every extension: measuring its points concurrently yields a
+// figure deep-equal to the serial one. Every configurable sweep axis is cut
+// to two values to keep the test cheap.
+func TestExtensionsDeterministicAcrossParallelism(t *testing.T) {
+	base := RunConfig{
+		Sizes:          []int{20, 30},
+		Degrees:        []int{6},
+		Replicate:      Quick(),
+		Seed:           11,
+		CrashFractions: []float64{0, 0.2},
+		LossRates:      []float64{0, 0.2},
+		HelloLossRates: []float64{0, 0.2},
+		RestartRates:   []float64{0, 0.2},
+	}
+	for _, id := range AllExtensionIDs() {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			serial := base
+			serial.Parallelism = 1
+			parallel := base
+			parallel.Parallelism = 2
+			want, err := ExtensionByID(id, serial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ExtensionByID(id, parallel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Parallelism=2 diverged from serial:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }

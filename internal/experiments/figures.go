@@ -11,72 +11,58 @@ import (
 // Figure10 reproduces the timing-options experiment: Static vs FR vs FRB vs
 // FRBD generic self-pruning with 2-hop views and ID priority.
 func Figure10(rc RunConfig) (Figure, error) {
-	rc = rc.withDefaults()
 	cfg := sim.Config{Hops: 2, Metric: view.MetricID}
-	mk := func(t protocol.Timing, label string) variant {
-		return variant{label: label, cfg: cfg, make: func() sim.Protocol { return protocol.Generic(t) }}
-	}
-	variants := []variant{
-		mk(protocol.TimingStatic, "Static"),
-		mk(protocol.TimingFirstReceipt, "FR"),
-		mk(protocol.TimingBackoffRandom, "FRB"),
-		mk(protocol.TimingBackoffDegree, "FRBD"),
-	}
-	return buildFigure(rc, "10", "Broadcast algorithms with different timing options",
-		[]int{2}, variants, nil)
+	return paperFigure(rc, "10", "Broadcast algorithms with different timing options", []int{2}, []variant{
+		{label: "Static", make: generic(protocol.TimingStatic), cfg: cfg},
+		{label: "FR", make: generic(protocol.TimingFirstReceipt), cfg: cfg},
+		{label: "FRB", make: generic(protocol.TimingBackoffRandom), cfg: cfg},
+		{label: "FRBD", make: generic(protocol.TimingBackoffDegree), cfg: cfg},
+	})
 }
 
 // Figure11 reproduces the selection-options experiment: self-pruning (SP),
 // neighbor-designating (ND), and the MaxDeg / MinPri hybrids, first-receipt,
 // 2-hop views, ID priority.
 func Figure11(rc RunConfig) (Figure, error) {
-	rc = rc.withDefaults()
 	cfg := sim.Config{Hops: 2, Metric: view.MetricID}
-	variants := []variant{
-		{label: "SP", cfg: cfg, make: protocol.SelfPruningFR},
-		{label: "ND", cfg: cfg, make: protocol.NeighborDesignatingFR},
-		{label: "MaxDeg", cfg: cfg, make: protocol.HybridMaxDeg},
-		{label: "MinPri", cfg: cfg, make: protocol.HybridMinPri},
-	}
-	return buildFigure(rc, "11", "Dynamic (first-receipt) algorithms with different selection options",
-		[]int{2}, variants, nil)
+	return paperFigure(rc, "11", "Dynamic (first-receipt) algorithms with different selection options", []int{2}, []variant{
+		{label: "SP", make: protocol.SelfPruningFR, cfg: cfg},
+		{label: "ND", make: protocol.NeighborDesignatingFR, cfg: cfg},
+		{label: "MaxDeg", make: protocol.HybridMaxDeg, cfg: cfg},
+		{label: "MinPri", make: protocol.HybridMinPri, cfg: cfg},
+	})
 }
 
 // Figure12 reproduces the space experiment: generic first-receipt
 // self-pruning under 2-, 3-, 4-, 5-hop and global views, ID priority.
 func Figure12(rc RunConfig) (Figure, error) {
-	rc = rc.withDefaults()
 	var variants []variant
-	for _, k := range []int{2, 3, 4, 5} {
+	for _, k := range []int{2, 3, 4, 5, 0} {
+		label := fmt.Sprintf("%d-hop", k)
+		if k == 0 {
+			label = "global"
+		}
 		variants = append(variants, variant{
-			label: fmt.Sprintf("%d-hop", k),
+			label: label,
+			make:  generic(protocol.TimingFirstReceipt),
 			cfg:   sim.Config{Hops: k, Metric: view.MetricID},
-			make:  func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) },
 		})
 	}
-	variants = append(variants, variant{
-		label: "global",
-		cfg:   sim.Config{Hops: 0, Metric: view.MetricID},
-		make:  func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) },
-	})
-	return buildFigure(rc, "12", "Dynamic self-pruning algorithms based on different local views",
-		nil, variants, nil)
+	return paperFigure(rc, "12", "Dynamic self-pruning algorithms based on different local views", nil, variants)
 }
 
 // Figure13 reproduces the priority experiment: generic first-receipt
 // self-pruning under ID, Degree and NCR priorities, 2-hop views.
 func Figure13(rc RunConfig) (Figure, error) {
-	rc = rc.withDefaults()
 	var variants []variant
 	for _, m := range []view.Metric{view.MetricID, view.MetricDegree, view.MetricNCR} {
 		variants = append(variants, variant{
 			label: m.String(),
+			make:  generic(protocol.TimingFirstReceipt),
 			cfg:   sim.Config{Hops: 2, Metric: m},
-			make:  func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) },
 		})
 	}
-	return buildFigure(rc, "13", "Dynamic self-pruning algorithms using different priority values",
-		nil, variants, nil)
+	return paperFigure(rc, "13", "Dynamic self-pruning algorithms using different priority values", nil, variants)
 }
 
 // Figure14 reproduces the static special-cases comparison: MPR, enhanced
@@ -85,81 +71,56 @@ func Figure13(rc RunConfig) (Figure, error) {
 // configuration); MPR's relaxed forwarding rule stands in for its
 // designating-time priority.
 func Figure14(rc RunConfig) (Figure, error) {
-	rc = rc.withDefaults()
-	mkv := func(label string, mk func() sim.Protocol) variant {
-		return variant{label: label, cfg: sim.Config{Metric: view.MetricNCR}, make: mk}
-	}
-	variants := []variant{
-		mkv("MPR", protocol.MPR),
-		mkv("Span", protocol.Span),
-		mkv("Rule k", protocol.RuleK),
-		mkv("Generic", func() sim.Protocol { return protocol.Generic(protocol.TimingStatic) }),
-	}
-	return buildFigure(rc, "14", "Static broadcast algorithms", []int{2, 3}, variants, nil)
+	cfg := sim.Config{Metric: view.MetricNCR}
+	return paperFigure(rc, "14", "Static broadcast algorithms", []int{2, 3}, []variant{
+		{label: "MPR", make: protocol.MPR, cfg: cfg},
+		{label: "Span", make: protocol.Span, cfg: cfg},
+		{label: "Rule k", make: protocol.RuleK, cfg: cfg},
+		{label: "Generic", make: generic(protocol.TimingStatic), cfg: cfg},
+	})
 }
 
 // Figure15 reproduces the first-receipt special-cases comparison: DP, PDP,
 // LENWB and the generic FR algorithm, degree priority, 2- and 3-hop views.
 func Figure15(rc RunConfig) (Figure, error) {
-	rc = rc.withDefaults()
-	mkv := func(label string, mk func() sim.Protocol) variant {
-		return variant{label: label, cfg: sim.Config{Metric: view.MetricDegree}, make: mk}
-	}
-	variants := []variant{
-		mkv("DP", protocol.DP),
-		mkv("PDP", protocol.PDP),
-		mkv("LENWB", protocol.LENWB),
-		mkv("Generic", func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }),
-	}
-	return buildFigure(rc, "15", "First-receipt broadcast algorithms", []int{2, 3}, variants, nil)
+	cfg := sim.Config{Metric: view.MetricDegree}
+	return paperFigure(rc, "15", "First-receipt broadcast algorithms", []int{2, 3}, []variant{
+		{label: "DP", make: protocol.DP, cfg: cfg},
+		{label: "PDP", make: protocol.PDP, cfg: cfg},
+		{label: "LENWB", make: protocol.LENWB, cfg: cfg},
+		{label: "Generic", make: generic(protocol.TimingFirstReceipt), cfg: cfg},
+	})
 }
 
 // Figure16 reproduces the first-receipt-with-backoff comparison: SBA vs the
 // generic FRB algorithm, ID priority, 2- and 3-hop views.
 func Figure16(rc RunConfig) (Figure, error) {
-	rc = rc.withDefaults()
-	mkv := func(label string, mk func() sim.Protocol) variant {
-		return variant{label: label, cfg: sim.Config{Metric: view.MetricID}, make: mk}
-	}
-	variants := []variant{
-		mkv("SBA", protocol.SBA),
-		mkv("Generic", func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }),
-	}
-	return buildFigure(rc, "16", "First-receipt-with-backoff broadcast algorithms", []int{2, 3}, variants, nil)
+	cfg := sim.Config{Metric: view.MetricID}
+	return paperFigure(rc, "16", "First-receipt-with-backoff broadcast algorithms", []int{2, 3}, []variant{
+		{label: "SBA", make: protocol.SBA, cfg: cfg},
+		{label: "Generic", make: generic(protocol.TimingBackoffRandom), cfg: cfg},
+	})
 }
 
-// buildFigure assembles one figure: a panel per (degree, hop) pair. When
-// hops is nil the variants carry their own view depths and panels are per
-// degree only.
-func buildFigure(rc RunConfig, id, title string, hops []int, variants []variant,
-	filter func(v variant) bool) (Figure, error) {
-	fig := Figure{ID: id, Title: title}
+// paperFigure declares one of the paper's figures: per degree, a panel per
+// view depth in hops, or a single panel when hops is nil and the variants
+// carry their own view depths.
+func paperFigure(rc RunConfig, id, title string, hops []int, variants []variant) (Figure, error) {
+	rc = rc.withDefaults()
+	s := newSweep(rc, id, title, "")
 	for _, d := range rc.Degrees {
 		if len(hops) == 0 {
-			panel, err := sweep(rc, "fig"+id, fmt.Sprintf("d=%d", d), d, variants)
-			if err != nil {
-				return Figure{}, err
-			}
-			fig.Panels = append(fig.Panels, panel)
-			continue
+			s.sizes("fig"+id, fmt.Sprintf("d=%d", d), d, variants)
 		}
 		for _, k := range hops {
-			vs := make([]variant, 0, len(variants))
-			for _, v := range variants {
-				if filter != nil && !filter(v) {
-					continue
-				}
-				v.cfg.Hops = k
-				vs = append(vs, v)
+			vs := append([]variant(nil), variants...)
+			for i := range vs {
+				vs[i].cfg.Hops = k
 			}
-			panel, err := sweep(rc, "fig"+id, fmt.Sprintf("d=%d, %d-hop", d, k), d, vs)
-			if err != nil {
-				return Figure{}, err
-			}
-			fig.Panels = append(fig.Panels, panel)
+			s.sizes("fig"+id, fmt.Sprintf("d=%d, %d-hop", d, k), d, vs)
 		}
 	}
-	return fig, nil
+	return s.run()
 }
 
 // FigureByID dispatches to the figure drivers; valid ids are "10".."16".

@@ -24,23 +24,18 @@ import (
 // views every other experiment uses.
 const helloRounds = 2
 
-// helloVariant is one curve of a hello-loss figure: a protocol plus the
-// conservative-fallback setting layered on it.
-type helloVariant struct {
-	label    string
-	make     func() sim.Protocol
-	fallback bool
-}
-
-func helloVariants() []helloVariant {
-	return []helloVariant{
+// helloVariants are the curves of the hello-loss figures: protocols with
+// and without the conservative fallback.
+func helloVariants() []variant {
+	cf := sim.Config{ConservativeFallback: true}
+	return []variant{
 		// Flooding ignores views entirely: the flat control line separating
 		// knowledge-induced losses from channel effects (there are none).
 		{label: "Flooding", make: protocol.Flooding},
-		{label: "Generic-FR", make: func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }},
-		{label: "Generic-FR+CF", make: func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }, fallback: true},
-		{label: "Generic-FRB", make: func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }},
-		{label: "Generic-FRB+CF", make: func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }, fallback: true},
+		{label: "Generic-FR", make: generic(protocol.TimingFirstReceipt)},
+		{label: "Generic-FR+CF", make: generic(protocol.TimingFirstReceipt), cfg: cf},
+		{label: "Generic-FRB", make: generic(protocol.TimingBackoffRandom)},
+		{label: "Generic-FRB+CF", make: generic(protocol.TimingBackoffRandom), cfg: cf},
 	}
 }
 
@@ -97,71 +92,41 @@ func HelloLossLatency(rc RunConfig) (Figure, error) {
 // rep, rate) — bit-identical across -parallel settings and repeated runs.
 func helloSweep(rc RunConfig, id, title, unit string, metric func(sim.Result, *sim.Recorder) float64) (Figure, error) {
 	rc = rc.withDefaults()
-	fig := Figure{ID: id, Title: title, Unit: unit}
-	for _, d := range rc.Degrees {
-		panel := Panel{Title: fmt.Sprintf("d=%d, n=100, 2-hop", d)}
-		for _, v := range helloVariants() {
-			s := Series{Label: v.label}
-			for _, rate := range rc.HelloLossRates {
-				rate, v := rate, v
-				pct := int(math.Round(100 * rate))
-				point := fmt.Sprintf("%s/%s/helloloss=%d/d=%d", id, v.label, pct, d)
-				sink, err := rc.newTraceSink(point)
-				if err != nil {
-					return Figure{}, err
-				}
-				sum, err := rc.replicate(point, func(i int) (float64, error) {
-					seed := workloadSeed(rc.Seed, 100, d, i)
-					w, err := workloads.get(workloadKey{seed: seed, n: 100, d: d})
-					if err != nil {
-						return 0, err
-					}
-					views, err := hello.Exchange(w.net.G, hello.Config{
+	s := newSweep(rc, id, title, unit)
+	s.extension(helloVariants(), func(v variant, d int) {
+		for _, rate := range rc.HelloLossRates {
+			pct := int(math.Round(100 * rate))
+			s.add(point{label: fmt.Sprintf("%s/%s/helloloss=%d/d=%d", id, v.label, pct, d), x: pct, n: 100, d: d,
+				sample: func(r *replicate) (float64, error) {
+					views, err := hello.Exchange(r.w.net.G, hello.Config{
 						Rounds:   helloRounds,
 						LossRate: rate,
-						Seed:     helloSeed(rc.Seed, 100, d, i, pct*10),
+						Seed:     helloSeed(rc.Seed, 100, d, r.i, pct*10),
 					})
 					if err != nil {
 						return 0, err
 					}
 					rec := &sim.Recorder{}
-					cfg := sim.Config{
-						Hops:                 2,
-						Seed:                 seed + 1,
-						Observer:             rec,
-						NodeViews:            views.Graph,
-						ViewIncomplete:       views.Incomplete,
-						ConservativeFallback: v.fallback,
-					}
-					flush := sink.instrument(&cfg, i)
-					res, err := sim.Run(w.net.G, w.source, v.make(), cfg)
+					cfg := v.cfg
+					cfg.Hops, cfg.Observer, cfg.NodeViews, cfg.ViewIncomplete = 2, rec, views.Graph, views.Incomplete
+					res, err := r.run(r.w.net.G, v.make(), cfg)
 					if err != nil {
 						return 0, err
 					}
-					if cfg.Metrics != nil {
+					if r.metrics != nil {
 						// Tracing is on: export the view-divergence counters
 						// alongside the run record. Only the driver can fill
 						// these — the simulator never sees the ground truth.
-						div, err := views.Divergence(w.net.G)
+						div, err := views.Divergence(r.w.net.G)
 						if err != nil {
 							return 0, err
 						}
-						cfg.Metrics.ViewMissingLinks = div.MissingLinks
-						cfg.Metrics.ViewPhantomLinks = div.PhantomLinks
-					}
-					if err := flush(); err != nil {
-						return 0, err
+						r.metrics.ViewMissingLinks = div.MissingLinks
+						r.metrics.ViewPhantomLinks = div.PhantomLinks
 					}
 					return metric(res, rec), nil
-				})
-				if err = sink.finish(err); err != nil {
-					return Figure{}, fmt.Errorf("%s %s helloloss %d%%: %w", id, v.label, pct, err)
-				}
-				s.Points = append(s.Points, Point{X: pct, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
-			}
-			panel.Series = append(panel.Series, s)
+				}})
 		}
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig, nil
+	})
+	return s.run()
 }

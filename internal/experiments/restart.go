@@ -28,21 +28,24 @@ import (
 // short enough that the NACK layer's retries are still in flight.
 const restartOutage = 5.0
 
-// restartVariant is one curve of a restart figure: a protocol plus the
-// recovery machinery layered on it.
-type restartVariant struct {
-	label string
-	make  func() sim.Protocol
-	nack  bool
-	hold  bool
-}
-
-func restartVariants() []restartVariant {
-	return []restartVariant{
+// restartVariants are the curves of the restart figures: protocols with the
+// recovery machinery layered on them. The hold variant's dynamic-hello
+// staleness schedule is a pure function of its own seed (see
+// internal/hello), which each replicate sets to its workload seed, so every
+// replicate sees a different beacon-loss pattern but reruns are
+// bit-identical.
+func restartVariants() []variant {
+	nack := sim.Config{NACKRecovery: true}
+	hold := sim.Config{
+		NACKRecovery:         true,
+		DynamicHello:         &hello.Dynamic{Interval: 2, Expiry: 2.5, LossRate: 0.2},
+		ConservativeFallback: true,
+	}
+	return []variant{
 		{label: "Flooding", make: protocol.Flooding},
-		{label: "Generic-FR", make: func() sim.Protocol { return protocol.Generic(protocol.TimingFirstReceipt) }},
-		{label: "Generic-FRB+NACK", make: func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }, nack: true},
-		{label: "Generic-FRB+NACK+Hold", make: func() sim.Protocol { return protocol.Generic(protocol.TimingBackoffRandom) }, nack: true, hold: true},
+		{label: "Generic-FR", make: generic(protocol.TimingFirstReceipt)},
+		{label: "Generic-FRB+NACK", make: generic(protocol.TimingBackoffRandom), cfg: nack},
+		{label: "Generic-FRB+NACK+Hold", make: generic(protocol.TimingBackoffRandom), cfg: hold},
 	}
 }
 
@@ -106,64 +109,28 @@ func RestartLatency(rc RunConfig) (Figure, error) {
 
 func restartSweep(rc RunConfig, id, title, unit string, metric func(sim.Result, *sim.Recorder) float64) (Figure, error) {
 	rc = rc.withDefaults()
-	fig := Figure{ID: id, Title: title, Unit: unit}
-	for _, d := range rc.Degrees {
-		panel := Panel{Title: fmt.Sprintf("d=%d, n=100, 2-hop", d)}
-		for _, v := range restartVariants() {
-			s := Series{Label: v.label}
-			for _, frac := range rc.RestartRates {
-				frac, v := frac, v
-				pct := int(math.Round(100 * frac))
-				point := fmt.Sprintf("%s/%s/restart=%d/d=%d", id, v.label, pct, d)
-				sink, err := rc.newTraceSink(point)
-				if err != nil {
-					return Figure{}, err
-				}
-				sum, err := rc.replicate(point, func(i int) (float64, error) {
-					seed := workloadSeed(rc.Seed, 100, d, i)
-					w, err := workloads.get(workloadKey{seed: seed, n: 100, d: d})
-					if err != nil {
-						return 0, err
-					}
-					plan, err := restartPlan(w.net.G, w.source, frac, restartSeed(rc.Seed, 100, d, i, pct*10))
+	s := newSweep(rc, id, title, unit)
+	s.extension(restartVariants(), func(v variant, d int) {
+		for _, frac := range rc.RestartRates {
+			pct := int(math.Round(100 * frac))
+			s.add(point{label: fmt.Sprintf("%s/%s/restart=%d/d=%d", id, v.label, pct, d), x: pct, n: 100, d: d,
+				sample: func(r *replicate) (float64, error) {
+					plan, err := restartPlan(r.w.net.G, r.w.source, frac, restartSeed(rc.Seed, 100, d, r.i, pct*10))
 					if err != nil {
 						return 0, err
 					}
 					rec := &sim.Recorder{}
-					cfg := sim.Config{
-						Hops:         2,
-						Seed:         seed + 1,
-						LossRate:     crashAmbientLoss,
-						Faults:       plan,
-						NACKRecovery: v.nack,
-						Observer:     rec,
+					cfg := v.cfg
+					cfg.Hops, cfg.LossRate, cfg.Faults, cfg.Observer = 2, crashAmbientLoss, plan, rec
+					if cfg.DynamicHello != nil {
+						dh := *cfg.DynamicHello
+						dh.Seed = r.seed
+						cfg.DynamicHello = &dh
 					}
-					if v.hold {
-						// The dynamic-hello staleness schedule is a pure
-						// function of its own seed (see internal/hello), so
-						// every replicate sees a different beacon-loss
-						// pattern but reruns are bit-identical.
-						cfg.DynamicHello = &hello.Dynamic{Interval: 2, Expiry: 2.5, LossRate: 0.2, Seed: seed}
-						cfg.ConservativeFallback = true
-					}
-					flush := sink.instrument(&cfg, i)
-					res, err := sim.Run(w.net.G, w.source, v.make(), cfg)
-					if err != nil {
-						return 0, err
-					}
-					if err := flush(); err != nil {
-						return 0, err
-					}
-					return metric(res, rec), nil
-				})
-				if err = sink.finish(err); err != nil {
-					return Figure{}, fmt.Errorf("%s %s restart %d%%: %w", id, v.label, pct, err)
-				}
-				s.Points = append(s.Points, Point{X: pct, Mean: sum.Mean, CI: sum.HalfWidth90, Runs: sum.N})
-			}
-			panel.Series = append(panel.Series, s)
+					res, err := r.run(r.w.net.G, v.make(), cfg)
+					return metric(res, rec), err
+				}})
 		}
-		fig.Panels = append(fig.Panels, panel)
-	}
-	return fig, nil
+	})
+	return s.run()
 }

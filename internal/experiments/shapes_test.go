@@ -26,7 +26,7 @@ func TestPaperShapes(t *testing.T) {
 
 	mean := func(t *testing.T, n, d int, cfg sim.Config, mk func() sim.Protocol) float64 {
 		t.Helper()
-		sum, err := measure(rc, "shape", n, d, variant{label: "shape", cfg: cfg, make: mk})
+		sum, err := measureVariant(rc, n, d, variant{label: "shape", cfg: cfg, make: mk})
 		if err != nil {
 			t.Fatal(err)
 		}

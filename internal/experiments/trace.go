@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"adhocbcast/internal/obsv"
-	"adhocbcast/internal/sim"
 )
 
 // traceSink writes the JSONL observability export of one data point: for
@@ -17,8 +16,9 @@ import (
 // replicate's lines are buffered and appended in one locked write — lines of
 // different replicates may interleave in the file, but every line carries its
 // (point, rep) key and a single replicate's lines stay contiguous and
-// ordered. A nil *traceSink is a no-op, which is how the drivers stay
-// zero-cost when no trace directory is configured.
+// ordered. With no trace directory configured the sink is nil: the sweep
+// driver then attaches no recorder and writes nothing, and finish passes the
+// measurement's error through.
 //
 // The sink writes through an obsv.AtomicFile: lines accumulate in a hidden
 // temp file and the final <point>.jsonl appears only when the point's last
@@ -28,28 +28,23 @@ import (
 // published file passes obsv.VerifyChain.
 type traceSink struct {
 	point string
+	path  string
 	mu    sync.Mutex
-	f     *obsv.AtomicFile
+	f     *obsv.AtomicFile // opened by the first write
 	w     *obsv.Writer
-	err   error // first write error; reported once at finish
+	err   error // first open or write error; reported once at finish
 }
 
-// newTraceSink opens the sink for one data point under c.TraceDir, or
-// returns nil when tracing is off. The file name is derived from the point
-// label, one file per data point.
-func (c RunConfig) newTraceSink(point string) (*traceSink, error) {
+// newTraceSink returns the sink for one data point under c.TraceDir, or nil
+// when tracing is off. The file name is derived from the point label, one
+// file per data point. Nothing is created until the first replicate writes,
+// so a point that traces no broadcast (or is served by a Runner hook without
+// computing) publishes no file.
+func (c RunConfig) newTraceSink(point string) *traceSink {
 	if c.TraceDir == "" {
-		return nil, nil
+		return nil
 	}
-	if err := os.MkdirAll(c.TraceDir, 0o755); err != nil {
-		return nil, err
-	}
-	name := filepath.Join(c.TraceDir, sanitizePoint(point)+".jsonl")
-	f, err := obsv.CreateAtomic(name)
-	if err != nil {
-		return nil, err
-	}
-	return &traceSink{point: point, f: f, w: obsv.NewWriter(f)}, nil
+	return &traceSink{point: point, path: filepath.Join(c.TraceDir, sanitizePoint(point)+".jsonl")}
 }
 
 // sanitizePoint keeps point labels filesystem-safe.
@@ -65,31 +60,21 @@ func sanitizePoint(point string) string {
 	}, point)
 }
 
-// instrument prepares one replicate for tracing: it attaches a metrics
-// record and (unless the driver already installed its own Recorder) a trace
-// recorder to cfg, and returns a flush function that writes the replicate's
-// records after the run. With a nil sink both cfg and the returned flush are
-// no-ops.
-func (s *traceSink) instrument(cfg *sim.Config, rep int) func() error {
-	if s == nil {
-		return func() error { return nil }
-	}
-	rec, ok := cfg.Observer.(*sim.Recorder)
-	if !ok {
-		rec = &sim.Recorder{}
-		cfg.Observer = rec
-	}
-	rr := obsv.NewRunRecord()
-	cfg.Metrics = rr
-	return func() error { return s.write(rep, rr, rec.Records()) }
-}
-
 // write appends one replicate's run record and trace events atomically.
 func (s *traceSink) write(rep int, rr *obsv.RunRecord, events []obsv.TraceEvent) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return s.err
+	}
+	if s.f == nil {
+		if s.err = os.MkdirAll(filepath.Dir(s.path), 0o755); s.err == nil {
+			s.f, s.err = obsv.CreateAtomic(s.path)
+		}
+		if s.err != nil {
+			return s.err
+		}
+		s.w = obsv.NewWriter(s.f)
 	}
 	if err := s.w.Write(obsv.Record{Kind: obsv.KindRun, Point: s.point, Rep: rep, Run: rr}); err != nil {
 		s.err = err
@@ -118,6 +103,9 @@ func (s *traceSink) finish(err error) error {
 	defer s.mu.Unlock()
 	if err == nil && s.err != nil {
 		err = fmt.Errorf("experiments: trace %s: %w", s.point, s.err)
+	}
+	if s.f == nil {
+		return err
 	}
 	if err != nil {
 		s.f.Abort()

@@ -24,11 +24,11 @@ func TestScanBackoffWindow(t *testing.T) {
 				cfg:   sim.Config{Hops: 2, Metric: view.MetricID, BackoffWindow: w},
 				make:  func() sim.Protocol { return protocol.Generic(timing) },
 			}
-			sum, err := measure(rc, "windowscan", 100, 6, v)
+			sum, err := measureVariant(rc, 100, 6, v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("window=%4.0f  %-4s  mean=%.2f ±%.2f (runs=%d)", w, v.label, sum.Mean, sum.HalfWidth90, sum.N)
+			t.Logf("window=%4.0f  %-4s  mean=%.2f ±%.2f (runs=%d)", w, v.label, sum.Mean, sum.CI, sum.Runs)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -435,5 +436,56 @@ func TestScaleRunnerCaches(t *testing.T) {
 	}
 	if !strings.Contains(string(table1), "n=40 (2 replicates)") {
 		t.Fatalf("scale table content: %q", table1)
+	}
+}
+
+// TestListMatchesRun pins List to Run across every driver kind: the points
+// List enumerates — experiment, label, and content address — are exactly the
+// manifest entries Run writes for the same spec.
+func TestListMatchesRun(t *testing.T) {
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Tables: []TableSpec{{
+		Output: "mixed.txt",
+		Experiments: []ExperimentSpec{
+			{ID: "fig16", Seed: 7, Sizes: []int{20}, Degrees: []int{6}, MinRuns: 3, MaxRuns: 4, RelTol: 0.5},
+			{ID: "ext:loss", Seed: 7, Degrees: []int{6}, LossRates: []float64{0, 0.2}, MinRuns: 3, MaxRuns: 4, RelTol: 0.5},
+			{ID: "scale", Seed: 7, ScaleSizes: []int{40}, ScaleReps: 2},
+			{ID: "load", Seed: 7, LoadRates: []float64{0.05}, LoadReps: 2},
+		},
+	}}}
+	opts := Options{Spec: spec, Cache: cache, OutDir: t.TempDir()}
+	listed, err := List(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(opts); err != nil {
+		t.Fatal(err)
+	}
+	entries, _, err := cache.readManifest("mixed.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(experiment, point, hash string) string { return experiment + "\t" + point + "\t" + hash }
+	var want, got []string
+	for _, e := range entries {
+		want = append(want, key(e.Experiment, e.Point, e.Hash))
+	}
+	for _, p := range listed {
+		got = append(got, key(p.Experiment, p.Point, p.Hash))
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("List and Run disagree:\nList: %q\nRun:  %q", got, want)
+	}
+	kinds := map[string]bool{}
+	for _, p := range listed {
+		kinds[p.Experiment] = true
+	}
+	if len(kinds) != 4 {
+		t.Fatalf("points cover experiments %v, want all four", kinds)
 	}
 }

@@ -90,8 +90,26 @@ func (p summaryPayload) summary() stats.Summary {
 	return stats.Summary{N: p.N, Mean: p.Mean, StdDev: p.StdDev, HalfWidth90: p.CI90}
 }
 
-// collector gathers per-point outcomes from Runner hooks, which the drivers
-// invoke concurrently.
+// hook decides what happens at one grid point: given the point's canonical
+// config, a pointer to the result slot, and compute that fills the slot, it
+// fills the slot — Run's hook from the cache or by computing and storing,
+// List's by recording the point and leaving the slot zero.
+type hook func(cfg PointConfig, out any, compute func() error) error
+
+// via adapts a driver's typed compute closure to a hook, so one hook serves
+// every result type.
+func via[T any](h hook, cfg PointConfig, compute func() (T, error)) (T, error) {
+	var out T
+	err := h(cfg, &out, func() (err error) {
+		out, err = compute()
+		return err
+	})
+	return out, err
+}
+
+// collector is Run's hook for one table: it serves each point from the
+// cache when present, computes and stores it otherwise, and gathers the
+// manifest entries. The drivers call it concurrently.
 type collector struct {
 	opts Options
 	mu   sync.Mutex
@@ -99,7 +117,22 @@ type collector struct {
 	ents []manifestEntry
 }
 
-func (c *collector) record(cfg PointConfig, hit bool) {
+func (c *collector) serve(cfg PointConfig, out any, compute func() error) error {
+	hit, err := c.opts.Cache.Get(cfg, out)
+	if err != nil {
+		return err
+	}
+	if !hit {
+		if c.opts.RequireCached {
+			return fmt.Errorf("grid: point %q (%.12s…) not cached", cfg.Point, cfg.Hash())
+		}
+		if err := compute(); err != nil {
+			return err
+		}
+		if err := c.opts.Cache.Put(cfg, out); err != nil {
+			return err
+		}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.st.Points++
@@ -109,6 +142,7 @@ func (c *collector) record(cfg PointConfig, hit bool) {
 		c.st.Misses++
 	}
 	c.ents = append(c.ents, manifestEntry{Experiment: cfg.Experiment, Point: cfg.Point, Hash: cfg.Hash()})
+	return nil
 }
 
 // resolve returns the experiment's effective seed and replication criterion —
@@ -148,7 +182,7 @@ func Run(opts Options) (Stats, error) {
 		col := &collector{opts: opts, st: &st}
 		var buf strings.Builder
 		for _, e := range t.Experiments {
-			section, err := runExperiment(opts, e, col)
+			section, err := runExperiment(opts, e, col.serve)
 			if err != nil {
 				return st, fmt.Errorf("grid: %s: %s: %w", t.Output, e.ID, err)
 			}
@@ -170,39 +204,32 @@ func Run(opts Options) (Stats, error) {
 	return st, nil
 }
 
-// runExperiment executes one section of a table and returns its rendered
-// bytes (excluding the optional header). The output is byte-identical to what
-// cmd/experiments prints for the same parameters: Format(figure) plus the
-// trailing blank line for figure and extension sections, FormatScale for the
-// scale sweep, FormatLoad for the saturation sweep.
-func runExperiment(opts Options, e ExperimentSpec, col *collector) (string, error) {
+// runExperiment executes one section of a table through hook h and returns
+// its rendered bytes (excluding the optional header). The output is
+// byte-identical to what cmd/experiments prints for the same parameters:
+// Format(figure) plus the trailing blank line for figure and extension
+// sections, FormatScale for the scale sweep, FormatLoad for the saturation
+// sweep.
+func runExperiment(opts Options, e ExperimentSpec, h hook) (string, error) {
 	seed, rep := e.resolve()
-	if e.ID == "load" {
-		lc := experiments.LoadConfig{
+	switch e.ID {
+	case "load":
+		rows, err := experiments.Load(experiments.LoadConfig{
 			Rates:      e.LoadRates,
 			Replicates: e.LoadReps,
 			Seed:       seed,
-			Runner:     loadRunner(opts, e, seed, col),
-		}
-		rows, err := experiments.Load(lc)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatLoad(rows), nil
-	}
-	if e.ID == "scale" {
-		sc := experiments.ScaleConfig{
+			Runner:     fixedRunner[[]experiments.LoadRow](h, e.ID, seed),
+		})
+		return experiments.FormatLoad(rows), err
+	case "scale":
+		rows, err := experiments.Scale(experiments.ScaleConfig{
 			Sizes:      e.ScaleSizes,
 			Degree:     e.ScaleDegree,
 			Replicates: e.ScaleReps,
 			Seed:       seed,
-			Runner:     scaleRunner(opts, e, seed, col),
-		}
-		rows, err := experiments.Scale(sc)
-		if err != nil {
-			return "", err
-		}
-		return experiments.FormatScale(rows), nil
+			Runner:     fixedRunner[[]experiments.ScaleRow](h, e.ID, seed),
+		})
+		return experiments.FormatScale(rows), err
 	}
 	rc := experiments.RunConfig{
 		Sizes:                e.Sizes,
@@ -214,156 +241,63 @@ func runExperiment(opts Options, e ExperimentSpec, col *collector) (string, erro
 		LossRates:            e.LossRates,
 		HelloLossRates:       e.HelloLossRates,
 		RestartRates:         e.RestartRates,
-		Runner:               ciRunner(opts, e, seed, rep, col),
+		Runner: func(point string, compute func() (stats.Summary, error)) (stats.Summary, error) {
+			cfg := PointConfig{
+				Schema:     PointSchema,
+				Experiment: e.ID,
+				Point:      point,
+				Seed:       seed,
+				MinRuns:    rep.MinRuns,
+				MaxRuns:    rep.MaxRuns,
+				RelTol:     rep.RelTol,
+			}
+			p, err := via(h, cfg, func() (summaryPayload, error) {
+				sum, err := compute()
+				return payloadFrom(sum), err
+			})
+			return p.summary(), err
+		},
 	}
-	f, err := figureFor(e.ID, rc)
+	var f experiments.Figure
+	var err error
+	if ext, ok := strings.CutPrefix(e.ID, "ext:"); ok {
+		f, err = experiments.ExtensionByID(ext, rc)
+	} else {
+		f, err = experiments.FigureByID(strings.TrimPrefix(e.ID, "fig"), rc)
+	}
 	if err != nil {
 		return "", err
 	}
 	return experiments.Format(f) + "\n", nil
 }
 
-// figureFor dispatches a fig/ext experiment id to its driver.
-func figureFor(id string, rc experiments.RunConfig) (experiments.Figure, error) {
-	if ext, ok := strings.CutPrefix(id, "ext:"); ok {
-		return experiments.ExtensionByID(ext, rc)
-	}
-	return experiments.FigureByID(strings.TrimPrefix(id, "fig"), rc)
-}
-
-// ciRunner is the caching hook for CI-replicated (figure and extension)
-// points.
-func ciRunner(opts Options, e ExperimentSpec, seed int64, rep stats.ReplicateOptions, col *collector) func(string, func() (stats.Summary, error)) (stats.Summary, error) {
-	return func(point string, compute func() (stats.Summary, error)) (stats.Summary, error) {
-		cfg := PointConfig{
+// fixedRunner is the Runner of the fixed-replication (scale and load)
+// drivers. It builds each point's canonical config from the point label,
+// which pins the actual replicate count (the scale driver caps it for the
+// largest sizes) and the degree; the load label encodes the offered load as
+// integer permille, so no floats enter the content address.
+func fixedRunner[T any](h hook, experiment string, seed int64) func(string, func() (T, error)) (T, error) {
+	return func(point string, compute func() (T, error)) (T, error) {
+		var rpm, n, d, reps int
+		var err error
+		if experiment == "load" {
+			_, err = fmt.Sscanf(point, "load/rpm=%d/n=%d/d=%d/reps=%d", &rpm, &n, &d, &reps)
+		} else {
+			_, err = fmt.Sscanf(point, "scale/n=%d/d=%d/reps=%d", &n, &d, &reps)
+		}
+		if err != nil {
+			var zero T
+			return zero, fmt.Errorf("grid: unparseable %s point label %q: %w", experiment, point, err)
+		}
+		return via(h, PointConfig{
 			Schema:     PointSchema,
-			Experiment: e.ID,
+			Experiment: experiment,
 			Point:      point,
 			Seed:       seed,
-			MinRuns:    rep.MinRuns,
-			MaxRuns:    rep.MaxRuns,
-			RelTol:     rep.RelTol,
-		}
-		var payload summaryPayload
-		hit, err := opts.Cache.Get(cfg, &payload)
-		if err != nil {
-			return stats.Summary{}, err
-		}
-		if hit {
-			col.record(cfg, true)
-			return payload.summary(), nil
-		}
-		if opts.RequireCached {
-			return stats.Summary{}, fmt.Errorf("grid: point %q (%.12s…) not cached", point, cfg.Hash())
-		}
-		sum, err := compute()
-		if err != nil {
-			return stats.Summary{}, err
-		}
-		if err := opts.Cache.Put(cfg, payloadFrom(sum)); err != nil {
-			return stats.Summary{}, err
-		}
-		col.record(cfg, false)
-		return sum, nil
+			Replicates: reps,
+			Degree:     d,
+		}, compute)
 	}
-}
-
-// scaleRunner is the caching hook for fixed-replication scale points.
-func scaleRunner(opts Options, e ExperimentSpec, seed int64, col *collector) func(string, func() ([]experiments.ScaleRow, error)) ([]experiments.ScaleRow, error) {
-	return func(point string, compute func() ([]experiments.ScaleRow, error)) ([]experiments.ScaleRow, error) {
-		cfg, err := scalePointConfig(e.ID, point, seed)
-		if err != nil {
-			return nil, err
-		}
-		var rows []experiments.ScaleRow
-		hit, err := opts.Cache.Get(cfg, &rows)
-		if err != nil {
-			return nil, err
-		}
-		if hit {
-			col.record(cfg, true)
-			return rows, nil
-		}
-		if opts.RequireCached {
-			return nil, fmt.Errorf("grid: point %q (%.12s…) not cached", point, cfg.Hash())
-		}
-		rows, err = compute()
-		if err != nil {
-			return nil, err
-		}
-		if err := opts.Cache.Put(cfg, rows); err != nil {
-			return nil, err
-		}
-		col.record(cfg, false)
-		return rows, nil
-	}
-}
-
-// loadRunner is the caching hook for fixed-replication saturation points.
-func loadRunner(opts Options, e ExperimentSpec, seed int64, col *collector) func(string, func() ([]experiments.LoadRow, error)) ([]experiments.LoadRow, error) {
-	return func(point string, compute func() ([]experiments.LoadRow, error)) ([]experiments.LoadRow, error) {
-		cfg, err := loadPointConfig(e.ID, point, seed)
-		if err != nil {
-			return nil, err
-		}
-		var rows []experiments.LoadRow
-		hit, err := opts.Cache.Get(cfg, &rows)
-		if err != nil {
-			return nil, err
-		}
-		if hit {
-			col.record(cfg, true)
-			return rows, nil
-		}
-		if opts.RequireCached {
-			return nil, fmt.Errorf("grid: point %q (%.12s…) not cached", point, cfg.Hash())
-		}
-		rows, err = compute()
-		if err != nil {
-			return nil, err
-		}
-		if err := opts.Cache.Put(cfg, rows); err != nil {
-			return nil, err
-		}
-		col.record(cfg, false)
-		return rows, nil
-	}
-}
-
-// loadPointConfig builds the canonical config of one saturation point from
-// its label (the offered load is encoded as integer permille, so no floats
-// enter the content address).
-func loadPointConfig(experiment, point string, seed int64) (PointConfig, error) {
-	var rpm, n, d, reps int
-	if _, err := fmt.Sscanf(point, "load/rpm=%d/n=%d/d=%d/reps=%d", &rpm, &n, &d, &reps); err != nil {
-		return PointConfig{}, fmt.Errorf("grid: unparseable load point label %q: %w", point, err)
-	}
-	return PointConfig{
-		Schema:     PointSchema,
-		Experiment: experiment,
-		Point:      point,
-		Seed:       seed,
-		Replicates: reps,
-		Degree:     d,
-	}, nil
-}
-
-// scalePointConfig builds the canonical config of one scale point from its
-// label, which pins the actual replicate count (the driver caps it for the
-// largest sizes) and degree.
-func scalePointConfig(experiment, point string, seed int64) (PointConfig, error) {
-	var n, d, reps int
-	if _, err := fmt.Sscanf(point, "scale/n=%d/d=%d/reps=%d", &n, &d, &reps); err != nil {
-		return PointConfig{}, fmt.Errorf("grid: unparseable scale point label %q: %w", point, err)
-	}
-	return PointConfig{
-		Schema:     PointSchema,
-		Experiment: experiment,
-		Point:      point,
-		Seed:       seed,
-		Replicates: reps,
-		Degree:     d,
-	}, nil
 }
 
 // PointStatus is one grid point's cache state, as reported by List.
@@ -377,12 +311,12 @@ type PointStatus struct {
 }
 
 // List enumerates every selected grid point and whether it is cached,
-// without computing anything: the drivers run with a hook that records each
-// point and substitutes zero results.
+// without computing anything: each section runs through a hook that records
+// the point and substitutes a zero result.
 func List(opts Options) ([]PointStatus, error) {
 	var mu sync.Mutex
 	var out []PointStatus
-	record := func(cfg PointConfig) {
+	record := func(cfg PointConfig, _ any, _ func() error) error {
 		_, err := os.Stat(opts.Cache.pointPath(cfg.Hash()))
 		mu.Lock()
 		defer mu.Unlock()
@@ -392,80 +326,29 @@ func List(opts Options) ([]PointStatus, error) {
 			Hash:       cfg.Hash(),
 			Cached:     err == nil,
 		})
+		return nil
 	}
 	for _, t := range opts.Spec.Tables {
 		if !opts.selected(t.Output) {
 			continue
 		}
 		for _, e := range t.Experiments {
-			seed, rep := e.resolve()
-			var err error
-			if e.ID == "load" {
-				lc := experiments.LoadConfig{
-					Rates:      e.LoadRates,
-					Replicates: e.LoadReps,
-					Seed:       seed,
-					Runner: func(point string, _ func() ([]experiments.LoadRow, error)) ([]experiments.LoadRow, error) {
-						cfg, err := loadPointConfig(e.ID, point, seed)
-						if err != nil {
-							return nil, err
-						}
-						record(cfg)
-						return nil, nil
-					},
-				}
-				_, err = experiments.Load(lc)
-			} else if e.ID == "scale" {
-				sc := experiments.ScaleConfig{
-					Sizes:      e.ScaleSizes,
-					Degree:     e.ScaleDegree,
-					Replicates: e.ScaleReps,
-					Seed:       seed,
-					Runner: func(point string, _ func() ([]experiments.ScaleRow, error)) ([]experiments.ScaleRow, error) {
-						cfg, err := scalePointConfig(e.ID, point, seed)
-						if err != nil {
-							return nil, err
-						}
-						record(cfg)
-						return nil, nil
-					},
-				}
-				_, err = experiments.Scale(sc)
-			} else {
-				rc := experiments.RunConfig{
-					Sizes:          e.Sizes,
-					Degrees:        e.Degrees,
-					Replicate:      rep,
-					Seed:           seed,
-					CrashFractions: e.CrashFractions,
-					LossRates:      e.LossRates,
-					HelloLossRates: e.HelloLossRates,
-					RestartRates:   e.RestartRates,
-					Runner: func(point string, _ func() (stats.Summary, error)) (stats.Summary, error) {
-						record(PointConfig{
-							Schema:     PointSchema,
-							Experiment: e.ID,
-							Point:      point,
-							Seed:       seed,
-							MinRuns:    rep.MinRuns,
-							MaxRuns:    rep.MaxRuns,
-							RelTol:     rep.RelTol,
-						})
-						return stats.Summary{}, nil
-					},
-				}
-				_, err = figureFor(e.ID, rc)
-			}
-			if err != nil {
+			if _, err := runExperiment(opts, e, record); err != nil {
 				return nil, fmt.Errorf("grid: list %s: %w", e.ID, err)
 			}
 		}
 	}
+	// The same point can appear in several tables under different
+	// replication criteria (results_all and results_paper), so the content
+	// address breaks ties and the order is total.
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Experiment != out[j].Experiment {
 			return out[i].Experiment < out[j].Experiment
 		}
-		return out[i].Point < out[j].Point
+		if out[i].Point != out[j].Point {
+			return out[i].Point < out[j].Point
+		}
+		return out[i].Hash < out[j].Hash
 	})
 	return out, nil
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+
+	"adhocbcast/internal/graph"
 )
 
 // This file is the view-maintenance side of the hello layer: after the
@@ -132,4 +134,31 @@ func (d Dynamic) EverStale(recv, from int, t float64) bool {
 		last = at
 	}
 	return t-last > d.Expiry
+}
+
+// ViewStale reports whether node v's view g is stale at time t: some
+// view-neighbor u of v is LinkStale. This is the one stale-view predicate
+// the simulator and the live cluster hold on, so seed-matched runs agree on
+// every verdict.
+func (d Dynamic) ViewStale(g *graph.Graph, v int, t float64) bool {
+	return anyNeighbor(g, v, func(u int) bool { return d.LinkStale(v, u, t) })
+}
+
+// ViewEverStale is ViewStale's run-level counterpart: some view-neighbor
+// link of v was stale at any time in [0, t] (EverStale). It defines the
+// StaleViewHolds run-record counter.
+func (d Dynamic) ViewEverStale(g *graph.Graph, v int, t float64) bool {
+	return anyNeighbor(g, v, func(u int) bool { return d.EverStale(v, u, t) })
+}
+
+// anyNeighbor reports whether pred holds for some neighbor of v in g,
+// evaluating pred no further once it has.
+func anyNeighbor(g *graph.Graph, v int, pred func(u int) bool) bool {
+	found := false
+	g.ForEachNeighbor(v, func(u int) {
+		if !found && pred(u) {
+			found = true
+		}
+	})
+	return found
 }

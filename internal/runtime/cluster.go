@@ -78,16 +78,7 @@ func (cl *Cluster) N() int { return cl.g.N() }
 // pure hash the simulator uses, so seed-matched runs agree on every verdict.
 func (cl *Cluster) staleView(v int, now float64) bool {
 	d := cl.cfg.DynamicHello
-	if d == nil {
-		return false
-	}
-	stale := false
-	cl.viewGs[v].ForEachNeighbor(v, func(u int) {
-		if !stale && d.LinkStale(v, u, now) {
-			stale = true
-		}
-	})
-	return stale
+	return d != nil && d.ViewStale(cl.viewGs[v], v, now)
 }
 
 // DeliveredNodes returns the per-node delivery outcome of the most recent
@@ -553,42 +544,7 @@ func (r *run) result(source int) sim.Result {
 		}
 	}
 	if m := cl.cfg.Metrics; m != nil {
-		m.N = res.N
-		m.Delivered = res.Delivered
-		m.Forward = len(res.Forward)
-		m.Copies = res.Copies
-		m.Receipts = res.Receipts
-		m.Lost = res.Lost
-		m.DroppedNodeDown = res.DroppedNodeDown
-		m.DroppedLinkDown = res.DroppedLinkDown
-		m.TimersCancelled = res.TimersCancelled
-		m.NACKs = res.NACKs
-		m.Retransmits = res.Retransmits
-		m.Reachable = res.Reachable
-		m.DeliveredReachable = res.DeliveredReachable
-		m.Finish = res.Finish
-		if cl.cfg.ViewIncomplete != nil {
-			for v := 0; v < res.N; v++ {
-				if cl.cfg.ViewIncomplete(v) {
-					m.ViewIncompleteNodes++
-				}
-			}
-		}
-		if d := cl.cfg.DynamicHello; d != nil {
-			// Same pure computation as the simulator's result(): nodes whose
-			// view went stale at any point up to the finish clock.
-			for v := 0; v < res.N; v++ {
-				stale := false
-				cl.viewGs[v].ForEachNeighbor(v, func(u int) {
-					if !stale && d.EverStale(v, u, res.Finish) {
-						stale = true
-					}
-				})
-				if stale {
-					m.StaleViewHolds++
-				}
-			}
-		}
+		res.Record(m, func(v int) *graph.Graph { return cl.viewGs[v] }, cl.cfg.ViewIncomplete, cl.cfg.DynamicHello)
 	}
 	return res
 }

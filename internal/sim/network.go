@@ -8,6 +8,8 @@ import (
 	"adhocbcast/internal/core"
 	"adhocbcast/internal/fault"
 	"adhocbcast/internal/graph"
+	"adhocbcast/internal/hello"
+	"adhocbcast/internal/obsv"
 	"adhocbcast/internal/view"
 )
 
@@ -683,34 +685,18 @@ func (net *Network) handleRetransmit(e *event) {
 }
 
 func (net *Network) result() Result {
-	delivered := 0
+	res := net.tally()
+	res.Forward = append([]int(nil), res.Forward...)
 	for v := range net.nodes {
 		if net.nodes[v].Received {
-			delivered++
+			res.Delivered++
 		}
-	}
-	res := Result{
-		Forward:         append([]int(nil), net.forward...),
-		Delivered:       delivered,
-		N:               net.G.N(),
-		Finish:          net.now,
-		Receipts:        net.receipts,
-		Copies:          net.copies,
-		Lost:            net.lost,
-		Collided:        net.collided,
-		DroppedNodeDown: net.droppedNodeDown,
-		DroppedLinkDown: net.droppedLinkDown,
-		TimersCancelled: net.timersCancelled,
-		NACKs:           net.nacks,
-		Retransmits:     net.retransmits,
-		QueueDrops:      net.queueDrops,
-		MACDeferrals:    net.macDeferrals,
 	}
 	if net.plan == nil {
 		// No faults: every node is reachable (or at least scored; a
 		// disconnected input graph is a workload property, not a fault).
 		res.Reachable = res.N
-		res.DeliveredReachable = delivered
+		res.DeliveredReachable = res.Delivered
 	} else {
 		reach := net.plan.ReachableFrom(net.G, net.Source)
 		for v, ok := range reach {
@@ -730,50 +716,68 @@ func (net *Network) result() Result {
 		}
 	}
 	if m := net.Cfg.Metrics; m != nil {
-		m.N = res.N
-		m.Delivered = res.Delivered
-		m.Forward = len(res.Forward)
-		m.Copies = res.Copies
-		m.Receipts = res.Receipts
-		m.Lost = res.Lost
-		m.Collided = res.Collided
-		m.DroppedNodeDown = res.DroppedNodeDown
-		m.DroppedLinkDown = res.DroppedLinkDown
-		m.TimersCancelled = res.TimersCancelled
-		m.NACKs = res.NACKs
-		m.Retransmits = res.Retransmits
-		m.QueueDrops = res.QueueDrops
-		m.MACDeferrals = res.MACDeferrals
-		m.Reachable = res.Reachable
-		m.DeliveredReachable = res.DeliveredReachable
-		m.Finish = res.Finish
-		if net.Cfg.ViewIncomplete != nil {
-			for v := 0; v < res.N; v++ {
-				if net.Cfg.ViewIncomplete(v) {
-					m.ViewIncompleteNodes++
-				}
-			}
-		}
-		if d := net.Cfg.DynamicHello; d != nil {
-			// A node counts as a stale-view hold when some view-neighbor's
-			// beacons went stale at any point up to the run's finish. Being a
-			// pure function of (views, seed, finish time), the count is
-			// engine- and schedule-independent, and a seed-matched live run
-			// computes the identical value.
-			for v := 0; v < res.N; v++ {
-				stale := false
-				net.viewGraphOf(v).ForEachNeighbor(v, func(u int) {
-					if !stale && d.EverStale(v, u, res.Finish) {
-						stale = true
-					}
-				})
-				if stale {
-					m.StaleViewHolds++
-				}
-			}
-		}
+		res.Record(m, net.viewGraphOf, net.Cfg.ViewIncomplete, net.Cfg.DynamicHello)
 	}
 	return res
+}
+
+// tally returns the run's channel accounting as a Result, sharing the
+// forward list with the network: everything but the delivery and
+// reachability scoring, which single and traffic runs do their own way.
+func (net *Network) tally() Result {
+	return Result{
+		Forward:         net.forward,
+		N:               net.G.N(),
+		Finish:          net.now,
+		Receipts:        net.receipts,
+		Copies:          net.copies,
+		Lost:            net.lost,
+		Collided:        net.collided,
+		DroppedNodeDown: net.droppedNodeDown,
+		DroppedLinkDown: net.droppedLinkDown,
+		TimersCancelled: net.timersCancelled,
+		NACKs:           net.nacks,
+		Retransmits:     net.retransmits,
+		QueueDrops:      net.queueDrops,
+		MACDeferrals:    net.macDeferrals,
+	}
+}
+
+// Record copies the run's outcome into m. It is the one mapping from a
+// simulator-format result to an obsv run record: Run, RunTraffic and the
+// live runtime.Cluster all use it, each after scoring Reachable and
+// DeliveredReachable its own way. With incomplete (Config.ViewIncomplete)
+// or dyn (Config.DynamicHello) set it also counts the nodes whose view,
+// viewOf(v), is incomplete or went stale at any point up to Finish — a
+// pure function of (views, seed, finish time), so the count is engine- and
+// schedule-independent and a seed-matched live run computes the identical
+// value.
+func (r Result) Record(m *obsv.RunRecord, viewOf func(v int) *graph.Graph, incomplete func(v int) bool, dyn *hello.Dynamic) {
+	m.N = r.N
+	m.Delivered = r.Delivered
+	m.Forward = len(r.Forward)
+	m.Copies = r.Copies
+	m.Receipts = r.Receipts
+	m.Lost = r.Lost
+	m.Collided = r.Collided
+	m.DroppedNodeDown = r.DroppedNodeDown
+	m.DroppedLinkDown = r.DroppedLinkDown
+	m.TimersCancelled = r.TimersCancelled
+	m.NACKs = r.NACKs
+	m.Retransmits = r.Retransmits
+	m.QueueDrops = r.QueueDrops
+	m.MACDeferrals = r.MACDeferrals
+	m.Reachable = r.Reachable
+	m.DeliveredReachable = r.DeliveredReachable
+	m.Finish = r.Finish
+	for v := 0; v < r.N; v++ {
+		if incomplete != nil && incomplete(v) {
+			m.ViewIncompleteNodes++
+		}
+		if dyn != nil && dyn.ViewEverStale(viewOf(v), v, r.Finish) {
+			m.StaleViewHolds++
+		}
+	}
 }
 
 // Now returns the current simulation time.
@@ -860,16 +864,7 @@ func (net *Network) ConservativeHold(v int) bool {
 // yields the same verdicts in seed-matched live runs.
 func (net *Network) viewStale(v int, t float64) bool {
 	d := net.Cfg.DynamicHello
-	if d == nil {
-		return false
-	}
-	stale := false
-	net.viewGraphOf(v).ForEachNeighbor(v, func(u int) {
-		if !stale && d.LinkStale(v, u, t) {
-			stale = true
-		}
-	})
-	return stale
+	return d != nil && d.ViewStale(net.viewGraphOf(v), v, t)
 }
 
 // SetTimer schedules an OnTimer callback for node v after delay (>= 0).

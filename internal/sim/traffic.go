@@ -343,27 +343,15 @@ func (net *Network) trafficResult() TrafficResult {
 		res.LatencyP99 = quantileNearestRank(sorted, 0.99)
 	}
 	if m := net.Cfg.Metrics; m != nil {
-		m.N = res.N
-		m.Sessions = res.Sessions
-		m.Delivered = res.Delivered
-		m.Forward = res.Forward
-		m.Copies = res.Copies
-		m.Receipts = res.Receipts
-		m.Lost = res.Lost
-		m.Collided = res.Collided
-		m.DroppedNodeDown = res.DroppedNodeDown
-		m.DroppedLinkDown = res.DroppedLinkDown
-		m.TimersCancelled = res.TimersCancelled
-		m.NACKs = res.NACKs
-		m.Retransmits = res.Retransmits
-		m.QueueDrops = res.QueueDrops
-		m.MACDeferrals = res.MACDeferrals
 		// Deliverability in traffic runs is over (session, node) pairs; the
 		// fault plan's reachability analysis is per injection instant, so the
 		// record scores against the full pair count.
-		m.Reachable = res.Sessions * res.N
-		m.DeliveredReachable = res.Delivered
-		m.Finish = res.Finish
+		run := net.tally()
+		run.Delivered = res.Delivered
+		run.Reachable = res.Sessions * res.N
+		run.DeliveredReachable = res.Delivered
+		run.Record(m, nil, nil, nil)
+		m.Sessions = res.Sessions
 	}
 	return res
 }
