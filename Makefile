@@ -35,12 +35,16 @@ bench:
 		| /tmp/benchjson -old BENCH_results.json -out BENCH_results.json
 
 # CI regression gate: re-run the headline timing benchmarks — the paper-sized
-# single-broadcast point and the heavy-traffic saturation point — and fail on
-# a >25% ns/op regression against the committed report.
+# single-broadcast point, the heavy-traffic saturation point, and the generic
+# coverage condition the evaluator's speed claims rest on — and fail on a >25%
+# ns/op regression against the committed report. The coverage benchmarks run
+# in their own invocation because -bench applies a slash-separated pattern to
+# every benchmark's sub-benchmark levels.
 bench-compare:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -run='^$$' -bench='BenchmarkFigure10Timing|BenchmarkLoadPoint' -benchmem . \
-		| /tmp/benchjson -compare BENCH_results.json -match 'Figure10Timing|LoadPoint'
+	{ $(GO) test -run='^$$' -bench='BenchmarkFigure10Timing|BenchmarkLoadPoint' -benchmem . && \
+		$(GO) test -run='^$$' -bench='BenchmarkCoverageConditions/generic' -benchmem . ; } \
+		| /tmp/benchjson -compare BENCH_results.json -match 'Figure10Timing|LoadPoint|CoverageConditions/generic'
 
 # Every benchmark in the repository, human-readable.
 bench-full:

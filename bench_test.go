@@ -63,7 +63,7 @@ func benchBroadcast(b *testing.B, mk func() sim.Protocol, cfg sim.Config, n int,
 			b.Fatal(err)
 		}
 		if cfg.LossRate > 0 {
-			if got := res.Receipts + res.Lost + res.Collided + res.FaultDrops(); got != res.Copies {
+			if !res.Conserved() {
 				b.Fatalf("receipts %d + lost %d + collided %d + fault drops %d != copies %d",
 					res.Receipts, res.Lost, res.Collided, res.FaultDrops(), res.Copies)
 			}

@@ -71,3 +71,30 @@ func TestEvaluatorRepeatedCallIdempotent(t *testing.T) {
 		}
 	}
 }
+
+// TestCoveredIgnoresFringeLinksAtOneHop pins Definition 2's fringe rule in
+// the neighbor-pair adjacency of the generic condition. In a 1-hop view every
+// neighbor of the owner is on the fringe, so a topology link between two
+// neighbors is outside the view and cannot cover the pair; with 2 hops the
+// same link is inside the view. The owner of the triangle is its highest-id
+// node, so H is empty and only that link can cover the pair.
+func TestCoveredIgnoresFringeLinksAtOneHop(t *testing.T) {
+	g := buildGraph(t, 3, [][2]int{{0, 1}, {0, 2}, {1, 2}})
+	base := view.BasePriorities(g, view.MetricID)
+	ev := core.NewEvaluator(g.N())
+	for _, c := range []struct {
+		hops int
+		want bool
+	}{{1, false}, {2, true}} {
+		lv := view.NewLocal(g, 2, c.hops, base)
+		if got := ev.Covered(lv); got != c.want {
+			t.Errorf("hops %d: Covered = %v, want %v", c.hops, got, c.want)
+		}
+		if got := ev.CoveredWithoutVisitedUnion(lv); got != c.want {
+			t.Errorf("hops %d: CoveredWithoutVisitedUnion = %v, want %v", c.hops, got, c.want)
+		}
+		if got := refCovered(lv, true); got != c.want {
+			t.Errorf("hops %d: reference = %v, want %v", c.hops, got, c.want)
+		}
+	}
+}

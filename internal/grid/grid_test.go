@@ -2,6 +2,7 @@ package grid
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -157,6 +158,27 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 	}
 	if _, err := ParseSpec([]byte(`{"tables":[{"output":"a.txt","experiments":[{"id":"ext:mobility"},{"id":"scale"}]}]}`)); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
+	}
+}
+
+// TestParseSpecRejectsOneReplicate checks that a fixed-replication point
+// with one replicate (or a negative count) fails at parse time, naming the
+// field, instead of running and then failing to cache its +Inf CI.
+func TestParseSpecRejectsOneReplicate(t *testing.T) {
+	for _, c := range []struct{ id, field string }{
+		{"load", "load_reps"}, {"scale", "scale_reps"},
+	} {
+		for _, reps := range []int{1, -2} {
+			doc := fmt.Sprintf(`{"tables":[{"output":"a.txt","experiments":[{"id":%q,%q:%d}]}]}`, c.id, c.field, reps)
+			_, err := ParseSpec([]byte(doc))
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s = %d: error %v, want one naming %s", c.field, reps, err, c.field)
+			}
+		}
+		doc := fmt.Sprintf(`{"tables":[{"output":"a.txt","experiments":[{"id":%q,%q:2}]}]}`, c.id, c.field)
+		if _, err := ParseSpec([]byte(doc)); err != nil {
+			t.Errorf("%s = 2 rejected: %v", c.field, err)
+		}
 	}
 }
 

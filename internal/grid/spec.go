@@ -120,6 +120,24 @@ func (s Spec) validate() error {
 			if err := validateID(e.ID); err != nil {
 				return fmt.Errorf("grid: table %q: %w", t.Output, err)
 			}
+			if err := validateReps(e); err != nil {
+				return fmt.Errorf("grid: table %q: experiment %q: %w", t.Output, e.ID, err)
+			}
+		}
+	}
+	return nil
+}
+
+// validateReps rejects fixed replication counts the drivers cannot report:
+// the 90% CI half-width of a single sample is +Inf, which the point cache
+// cannot encode. 0 selects the driver's default.
+func validateReps(e ExperimentSpec) error {
+	for _, f := range []struct {
+		name string
+		reps int
+	}{{"scale_reps", e.ScaleReps}, {"load_reps", e.LoadReps}} {
+		if f.reps < 0 || f.reps == 1 {
+			return fmt.Errorf("%s = %d: want 0 (the default) or at least 2 replicates", f.name, f.reps)
 		}
 	}
 	return nil

@@ -8,10 +8,16 @@ import (
 
 // Arena owns the fast engine's reusable hot state: the flat per-node state
 // array, the calendar event queue, batch and collision scratch, coverage
-// evaluators, and a cache of built local views. One Arena serves one run at a
-// time; passing the same Arena to consecutive RunWith calls reuses every
-// allocation, which is what makes large replication sweeps allocation-free in
-// steady state.
+// evaluators, the random streams, the storage of forward packets' trails,
+// the forward list, and a cache of built local views. One Arena serves one
+// run at a time; passing the same Arena to consecutive RunWith calls reuses
+// every allocation, which is what makes large replication sweeps
+// allocation-free in steady state: once the node states' receipt logs have
+// grown to the runs' needs, a reused-arena Generic-FR broadcast allocates
+// only the Network value, the protocol's own state and the Result.Forward
+// copy (pinned by TestReusedArenaAllocs). Trail storage and the forward list
+// are run-scoped: they are reclaimed when the arena's next run starts, which
+// is also when node states and their receipts are reset.
 //
 // The view cache is keyed by (topology pointer, hops, metric): a run over the
 // same key reuses the built views after clearing their learned status marks.
@@ -34,6 +40,12 @@ type Arena struct {
 	// serves runs of any size.
 	eval    *core.Evaluator
 	wrkEval []*core.Evaluator
+
+	// Run-scoped storage: forward packets' trails, the forward list, and
+	// the random streams (reseeded per run).
+	trails  trailSlab
+	forward []int
+	rngs    streams
 
 	// Event-loop scratch.
 	batch      []event  // fast engine same-instant batch
@@ -72,6 +84,7 @@ func (a *Arena) stateNodes(n int) []NodeState {
 			FirstFrom:    -1,
 			Receipts:     st.Receipts[:0],
 			DesignatedBy: st.DesignatedBy[:0],
+			trails:       &a.trails,
 		}
 	}
 	a.nodes = nodes

@@ -68,6 +68,9 @@ type NodeState struct {
 	// sentPkt is the packet this node transmitted, kept for recovery-layer
 	// retransmissions.
 	sentPkt Packet
+	// trails is the run-scoped storage BuildForwardPacket carves trails
+	// from (the arena's; nil outside an arena).
+	trails *trailSlab
 }
 
 // Designated reports whether any node designated this node.
@@ -160,6 +163,13 @@ func (r Result) ReachableDeliveryRatio() float64 {
 // FaultDrops returns the total copies dropped by the fault plan, by any
 // cause.
 func (r Result) FaultDrops() int { return r.DroppedNodeDown + r.DroppedLinkDown }
+
+// Conserved reports whether the copy accounting closes: every transmitted
+// copy was delivered or dropped, Receipts + Lost + Collided + FaultDrops()
+// == Copies.
+func (r Result) Conserved() bool {
+	return r.Receipts+r.Lost+r.Collided+r.FaultDrops() == r.Copies
+}
 
 // ForwardCount returns the number of forward (transmitting) nodes.
 func (r Result) ForwardCount() int { return len(r.Forward) }
@@ -269,18 +279,36 @@ func RunWith(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (Resu
 	if err := cfg.validate(g.N()); err != nil {
 		return Result{}, err
 	}
+	net := newNetwork(a, g, source, cfg)
+	net.protocol = p
+	if err := net.build(); err != nil {
+		return Result{}, err
+	}
+	p.Init(net)
+	net.deliverToSource()
+	p.Start(net, source)
+	net.loop()
+	return net.result(), nil
+}
+
+// newNetwork prepares one run over g on arena a (nil allocates a private
+// one): defaults applied, the arena's run-scoped storage reclaimed, and the
+// event queue, loop and MAC scratch reset. cfg must already be validated.
+func newNetwork(a *Arena, g *graph.Graph, source int, cfg Config) *Network {
 	if a == nil {
 		a = NewArena()
 	}
+	a.trails.reset()
 	net := &Network{
-		G:        g,
-		Cfg:      cfg.withDefaults(),
-		Source:   source,
-		protocol: p,
-		arena:    a,
-		rngs:     newStreams(cfg.Seed),
-		plan:     cfg.Faults,
+		G:       g,
+		Cfg:     cfg.withDefaults(),
+		Source:  source,
+		arena:   a,
+		plan:    cfg.Faults,
+		forward: a.forward[:0],
 	}
+	a.rngs.reset(cfg.Seed, net.Cfg)
+	net.rngs = a.rngs
 	net.fast = net.Cfg.Engine == EngineFast
 	net.workers = 1
 	if net.fast {
@@ -299,14 +327,7 @@ func RunWith(a *Arena, g *graph.Graph, source int, p Protocol, cfg Config) (Resu
 	if m := net.Cfg.Metrics; m != nil {
 		m.Reset()
 	}
-	if err := net.build(); err != nil {
-		return Result{}, err
-	}
-	p.Init(net)
-	net.deliverToSource()
-	p.Start(net, source)
-	net.loop()
-	return net.result(), nil
+	return net
 }
 
 func (net *Network) build() error {
@@ -686,7 +707,9 @@ func (net *Network) handleRetransmit(e *event) {
 
 func (net *Network) result() Result {
 	res := net.tally()
-	res.Forward = append([]int(nil), res.Forward...)
+	res.Forward = make([]int, len(net.forward))
+	copy(res.Forward, net.forward)
+	net.arena.forward = net.forward[:0]
 	for v := range net.nodes {
 		if net.nodes[v].Received {
 			res.Delivered++
@@ -709,11 +732,9 @@ func (net *Network) result() Result {
 			}
 		}
 	}
-	if debugChecks {
-		if got := res.Receipts + res.Lost + res.Collided + res.FaultDrops(); got != res.Copies {
-			panic(fmt.Sprintf("sim: drop accounting broken: receipts %d + lost %d + collided %d + faultDrops %d != copies %d",
-				res.Receipts, res.Lost, res.Collided, res.FaultDrops(), res.Copies))
-		}
+	if debugChecks && !res.Conserved() {
+		panic(fmt.Sprintf("sim: drop accounting broken: receipts %d + lost %d + collided %d + faultDrops %d != copies %d",
+			res.Receipts, res.Lost, res.Collided, res.FaultDrops(), res.Copies))
 	}
 	if m := net.Cfg.Metrics; m != nil {
 		res.Record(m, net.viewGraphOf, net.Cfg.ViewIncomplete, net.Cfg.DynamicHello)

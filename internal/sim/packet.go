@@ -53,3 +53,47 @@ type Receipt struct {
 	// Packet is the delivered packet.
 	Packet Packet
 }
+
+// trailSlab is an arena's run-scoped storage for the trails of forward
+// packets (see BuildForwardPacket). It carves fixed-capacity slices out of
+// chunks it keeps across runs, and the arena resets it when its next run
+// starts, so reused-arena runs allocate no trails once the chunks have grown
+// to a run's needs. A nil *trailSlab allocates each trail instead; that is
+// the storage of node states outside an arena (the live runtime).
+type trailSlab struct {
+	chunks [][]TrailEntry
+	cur    int // chunk being carved
+	off    int // entries of chunks[cur] handed out
+}
+
+// firstTrailChunk is the entry count of a trailSlab's first chunk; each
+// further chunk doubles the last, so a slab holds at most about twice the
+// largest run's trails and a fresh arena serving one small run stays small.
+const firstTrailChunk = 32
+
+// take returns an empty trail with capacity n that no other trail taken
+// since the last reset overlaps.
+func (s *trailSlab) take(n int) []TrailEntry {
+	if s == nil {
+		return make([]TrailEntry, 0, n)
+	}
+	for {
+		if s.cur == len(s.chunks) {
+			size := firstTrailChunk
+			if k := len(s.chunks); k > 0 {
+				size = 2 * len(s.chunks[k-1])
+			}
+			s.chunks = append(s.chunks, make([]TrailEntry, max(size, n)))
+		}
+		if c := s.chunks[s.cur]; s.off+n <= len(c) {
+			out := c[s.off : s.off : s.off+n]
+			s.off += n
+			return out
+		}
+		s.cur, s.off = s.cur+1, 0
+	}
+}
+
+// reset makes every chunk available again; trails taken before must no
+// longer be used.
+func (s *trailSlab) reset() { s.cur, s.off = 0, 0 }

@@ -17,18 +17,35 @@ type streams struct {
 	backoff *rand.Rand // backoff-timing delays (FRB)
 	jitter  *rand.Rand // per-transmission forwarding jitter
 	loss    *rand.Rand // per-receipt loss draws
-	fault   *rand.Rand // fault/recovery-layer draws (retry jitter)
+	fault   *rand.Rand // recovery-layer draws (retransmission jitter)
 	mac     *rand.Rand // contention-MAC slotted-backoff draws (CarrierSense)
 }
 
-func newStreams(seed int64) streams {
-	return streams{
-		backoff: rand.New(rand.NewSource(seed)),
-		jitter:  rand.New(rand.NewSource(subSeed(seed, "jitter"))),
-		loss:    rand.New(rand.NewSource(subSeed(seed, "loss"))),
-		fault:   rand.New(rand.NewSource(subSeed(seed, "fault"))),
-		mac:     rand.New(rand.NewSource(subSeed(seed, "mac"))),
+// reset seeds the streams for a run with the given seed and configuration,
+// restarting each exactly as a fresh rand.New(rand.NewSource(...)) would.
+// Sources are created on first need and reseeded in place afterwards, so an
+// arena's runs allocate none in steady state; a stream whose model the
+// configuration leaves off is not created (it would never be drawn from).
+func (s *streams) reset(seed int64, c Config) {
+	s.backoff = seeded(s.backoff, seed)
+	if c.TxJitter > 0 {
+		s.jitter = seeded(s.jitter, subSeed(seed, "jitter"))
+		s.fault = seeded(s.fault, subSeed(seed, "fault"))
 	}
+	if c.LossRate > 0 {
+		s.loss = seeded(s.loss, subSeed(seed, "loss"))
+	}
+	if c.CarrierSense {
+		s.mac = seeded(s.mac, subSeed(seed, "mac"))
+	}
+}
+
+func seeded(r *rand.Rand, seed int64) *rand.Rand {
+	if r == nil {
+		return rand.New(rand.NewSource(seed))
+	}
+	r.Seed(seed)
+	return r
 }
 
 // subSeed maps (seed, purpose) to an independent stream seed.

@@ -103,15 +103,16 @@ func (st *NodeState) RestoreSentPacket(pkt Packet) { st.sentPkt = pkt }
 // and designated forward set), capped to the piggyback depth, plus the
 // optional extra payload. The built packet is retained for recovery
 // retransmissions (SentPacket). Both executors share this logic so a live
-// node's packets are bit-identical to the simulator's.
+// node's packets are bit-identical to the simulator's. In the simulator the
+// trail's storage comes from the arena's run-scoped trail slab, so it stays
+// valid until the arena's next run; elsewhere it is allocated.
 func (st *NodeState) BuildForwardPacket(designated, extra []int, depth int) Packet {
 	trail := st.LastPacket.Trail
-	entry := TrailEntry{Node: st.ID, Designated: append([]int(nil), designated...)}
-	newTrail := make([]TrailEntry, 0, len(trail)+1)
-	newTrail = append(newTrail, trail...)
-	newTrail = append(newTrail, entry)
-	if len(newTrail) > depth {
-		newTrail = newTrail[len(newTrail)-depth:]
+	keep := min(len(trail)+1, max(depth, 0))
+	newTrail := st.trails.take(keep)
+	if keep > 0 {
+		newTrail = append(newTrail, trail[len(trail)-(keep-1):]...)
+		newTrail = append(newTrail, TrailEntry{Node: st.ID, Designated: append([]int(nil), designated...)})
 	}
 	pkt := Packet{
 		Source:  st.LastPacket.Source,

@@ -93,6 +93,12 @@ func (r TrafficResult) Throughput() float64 {
 // FaultDrops returns the total copies dropped by the fault plan.
 func (r TrafficResult) FaultDrops() int { return r.DroppedNodeDown + r.DroppedLinkDown }
 
+// Conserved reports whether the copy accounting closes over all sessions:
+// Receipts + Lost + Collided + FaultDrops() == Copies.
+func (r TrafficResult) Conserved() bool {
+	return r.Receipts+r.Lost+r.Collided+r.FaultDrops() == r.Copies
+}
+
 // sessionState is the per-session half of a traffic run: its own protocol
 // instance and node bookkeeping over shared topology and channel.
 type sessionState struct {
@@ -211,42 +217,14 @@ func RunTrafficWith(a *Arena, g *graph.Graph, sessions []SessionSpec, newProto f
 	if err := cfg.validate(g.N()); err != nil {
 		return TrafficResult{}, err
 	}
-	if a == nil {
-		a = NewArena()
-	}
-	net := &Network{
-		G:        g,
-		Cfg:      cfg.withDefaults(),
-		Source:   sessions[0].Source,
-		newProto: newProto,
-		arena:    a,
-		rngs:     newStreams(cfg.Seed),
-		plan:     cfg.Faults,
-	}
-	net.fast = net.Cfg.Engine == EngineFast
-	net.workers = 1
-	if net.fast {
-		if net.Cfg.Workers > 1 {
-			net.workers = net.Cfg.Workers
-		}
-		a.cal.reset(net.Cfg.TransmitDelay)
-	}
-	a.ensureLoopScratch(g.N(), net.workers > 1)
-	if net.workers > 1 {
-		net.prepared = a.prepared
-	}
-	if net.Cfg.CarrierSense {
-		net.resetMAC(g.N())
-	}
-	if m := net.Cfg.Metrics; m != nil {
-		m.Reset()
-	}
+	net := newNetwork(a, g, sessions[0].Source, cfg)
+	net.newProto = newProto
 	vg := net.G
 	if net.Cfg.ViewTopology != nil {
 		vg = net.Cfg.ViewTopology
 	}
 	net.viewG = vg
-	views, base := a.viewsFor(vg, net.Cfg.Hops, net.Cfg.Metric)
+	views, base := net.arena.viewsFor(vg, net.Cfg.Hops, net.Cfg.Metric)
 	net.base = base
 	net.tmplViews = views
 	net.multi = make([]*sessionState, len(sessions))
@@ -280,6 +258,7 @@ func (net *Network) startSession(sid int32, source int) {
 			ID:        v,
 			FirstFrom: -1,
 			View:      net.tmplViews[v].CloneFresh(),
+			trails:    &net.arena.trails,
 		}
 	}
 	s.proto = net.newProto()
@@ -307,6 +286,7 @@ func (net *Network) deliverSessionSource(s *sessionState) {
 }
 
 func (net *Network) trafficResult() TrafficResult {
+	net.arena.forward = net.forward[:0]
 	res := TrafficResult{
 		Sessions:        len(net.multi),
 		N:               net.G.N(),
@@ -325,11 +305,9 @@ func (net *Network) trafficResult() TrafficResult {
 		QueueDrops:      net.queueDrops,
 		MACDeferrals:    net.macDeferrals,
 	}
-	if debugChecks {
-		if got := res.Receipts + res.Lost + res.Collided + res.FaultDrops(); got != res.Copies {
-			panic(fmt.Sprintf("sim: traffic drop accounting broken: receipts %d + lost %d + collided %d + faultDrops %d != copies %d",
-				res.Receipts, res.Lost, res.Collided, res.FaultDrops(), res.Copies))
-		}
+	if debugChecks && !res.Conserved() {
+		panic(fmt.Sprintf("sim: traffic drop accounting broken: receipts %d + lost %d + collided %d + faultDrops %d != copies %d",
+			res.Receipts, res.Lost, res.Collided, res.FaultDrops(), res.Copies))
 	}
 	if len(net.latSamples) > 0 {
 		sorted := append([]float64(nil), net.latSamples...)
